@@ -17,6 +17,11 @@ import numpy as np
 
 DEFAULT_SAMPLE_RATE = 16000
 
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes 4..15 shared by every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0..3 hold
+# the plain format tag as a little-endian uint32
+_KSDATAFORMAT_GUID_TAIL = bytes.fromhex("0000 1000 8000 00aa 0038 9b71")
+
 
 class WavError(ValueError):
     """Base class for WAV loading failures."""
@@ -39,7 +44,7 @@ class WavChannelError(WavError):
 
 
 class WavEncodingError(WavError):
-    """Codec other than 16-bit PCM or 32-bit float."""
+    """Codec other than 16-bit PCM or 32-bit float, or a non-finite float sample."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,11 @@ def load_wav(path) -> AudioClip:
     """Read a mono 16 kHz WAV file (16-bit PCM or 32-bit float).
 
     PCM samples are scaled by 1/32768 so the int16 range maps into
-    [-1, 1); float samples pass through unchanged. Anything else raises
-    a specific :class:`WavError` subclass.
+    [-1, 1); float samples pass through unchanged but must be finite. A
+    ``WAVE_FORMAT_EXTENSIBLE`` header is read as its sub-format when that
+    is the PCM or IEEE-float KSDATAFORMAT GUID. Anything else raises a
+    specific :class:`WavError` subclass; a NaN or infinite float sample
+    raises :class:`WavEncodingError` naming its index.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -118,7 +126,7 @@ def load_wav(path) -> AudioClip:
         if cid == b"fmt ":
             if size < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short ({size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body)
+            fmt = body
         elif cid == b"data":
             payload = body
 
@@ -127,11 +135,21 @@ def load_wav(path) -> AudioClip:
     if payload is None:
         raise WavFormatError(f"{path}: missing data chunk")
 
-    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+    audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt
+    )
     if channels != 1:
         raise WavChannelError(f"{path}: expected mono, got {channels} channels")
     if rate != DEFAULT_SAMPLE_RATE:
         raise WavSampleRateError(f"{path}: expected {DEFAULT_SAMPLE_RATE} Hz, got {rate}")
+
+    if audio_format == _WAVE_FORMAT_EXTENSIBLE:
+        if len(fmt) < 40:
+            raise WavFormatError(f"{path}: extensible fmt chunk too short ({len(fmt)} bytes)")
+        guid = fmt[24:40]
+        if guid[4:] != _KSDATAFORMAT_GUID_TAIL:
+            raise WavEncodingError(f"{path}: unsupported extensible sub-format {guid.hex()}")
+        (audio_format,) = struct.unpack_from("<I", guid)
 
     if audio_format == 1 and bits == 16:
         if len(payload) % 2:
@@ -141,6 +159,11 @@ def load_wav(path) -> AudioClip:
         if len(payload) % 4:
             raise WavTruncatedError(f"{path}: float32 data length {len(payload)} not a multiple of 4")
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise WavEncodingError(
+                f"{path}: non-finite sample {samples[bad[0]]} at index {bad[0]}"
+            )
     else:
         raise WavEncodingError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
@@ -177,20 +200,32 @@ def translate(samples: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def _window_energies(samples: np.ndarray, params: CenterParams):
-    """Per-window Gaussian-weighted mean energy and the window spans."""
+def _window_energies(samples: np.ndarray, params: CenterParams) -> np.ndarray:
+    """Gaussian-weighted mean energy of each ``w``-sample window.
+
+    Window i covers ``[i*w, min((i+1)*w, n))`` and its weights peak at the
+    window's own midpoint, so every full window shares one weight vector;
+    a shorter tail window gets its own. Each row is summed on its own, in
+    the same order a per-window loop would use, so the energies do not
+    depend on how the windows are batched.
+    """
     n = samples.shape[0]
-    energies = []
-    spans = []
-    for a in range(0, n, params.w):
-        b = min(a + params.w, n)
-        t = np.arange(a, b, dtype=np.float64)
-        c = (a + b - 1) / 2.0
-        g = np.exp(-((t - c) ** 2) / (2.0 * params.sigma**2))
-        seg = samples[a:b]
-        energies.append(float(np.sum(g * seg * seg) / np.sum(g)))
-        spans.append((a, b))
-    return np.array(energies), spans
+    w = params.w
+    full, tail = divmod(n, w)
+    two_var = 2.0 * params.sigma**2
+
+    def weights(length: int) -> np.ndarray:
+        t = np.arange(length, dtype=np.float64) - (length - 1) / 2.0
+        return np.exp(-(t**2) / two_var)
+
+    g = weights(w)
+    seg = samples[: full * w].reshape(full, w)
+    energies = np.sum(g * seg * seg, axis=1) / np.sum(g)
+    if tail:
+        g = weights(tail)
+        seg = samples[full * w :]
+        energies = np.append(energies, np.sum(g * seg * seg) / np.sum(g))
+    return energies
 
 
 def center(clip: AudioClip, params: CenterParams | None = None) -> AudioClip:
@@ -206,12 +241,11 @@ def center(clip: AudioClip, params: CenterParams | None = None) -> AudioClip:
     n = clip.length
     if params.w > n:
         raise ValueError(f"window size {params.w} exceeds clip length {n}")
-    energies, spans = _window_energies(clip.samples, params)
-    active = np.flatnonzero(energies >= params.th)
+    active = np.flatnonzero(_window_energies(clip.samples, params) >= params.th)
     if active.size == 0:
         return clip
-    span_start = spans[active[0]][0]
-    span_end = spans[active[-1]][1]
+    span_start = int(active[0]) * params.w
+    span_end = min((int(active[-1]) + 1) * params.w, n)
     offset = round(n / 2 - (span_start + span_end) / 2)
     if offset == 0:
         return clip

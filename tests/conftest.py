@@ -30,9 +30,18 @@ def record_criterion():
     return record
 
 
+# bytes 4..15 of every KSDATAFORMAT_SUBTYPE_* GUID (PCM, IEEE_FLOAT, ...)
+KSDATAFORMAT_GUID_TAIL = bytes.fromhex("0000 1000 8000 00aa 0038 9b71")
+
+
 @pytest.fixture
 def wav_factory(tmp_path):
-    """Craft arbitrary (including malformed) RIFF/WAVE files."""
+    """Craft arbitrary (including malformed) RIFF/WAVE files.
+
+    ``sub_format`` writes a 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk (tag
+    0xFFFE, ``audio_format`` is then ignored): an int is wrapped in the
+    KSDATAFORMAT GUID of that format tag, bytes are used as the GUID as is.
+    """
 
     def make(
         name="clip.wav",
@@ -47,18 +56,24 @@ def wav_factory(tmp_path):
         wave=b"WAVE",
         drop_fmt=False,
         drop_data=False,
+        sub_format=None,
     ):
         chunks = b""
         if not drop_fmt:
             fmt_body = struct.pack(
                 "<HHIIHH",
-                audio_format,
+                audio_format if sub_format is None else 0xFFFE,
                 channels,
                 rate,
                 rate * channels * (bits // 8),
                 channels * (bits // 8),
                 bits,
             )
+            if sub_format is not None:
+                if isinstance(sub_format, int):
+                    sub_format = struct.pack("<I", sub_format) + KSDATAFORMAT_GUID_TAIL
+                # cbSize, valid bits per sample, channel mask, sub-format GUID
+                fmt_body += struct.pack("<HHI", 22, bits, 0x4) + sub_format
             chunks += b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
         if not drop_data:
             declared = len(payload) if data_size is None else data_size

@@ -167,6 +167,21 @@ def test_encode_keeps_going_on_bad_file(tmp_path, runner):
     assert not (out / "bad.sfci").exists()
 
 
+def test_encode_non_finite_file_is_error_row(tmp_path, runner, wav_factory):
+    src = tmp_path / "src"
+    write_clip(src / "good.wav", length=50)
+    values = np.zeros(50, dtype="<f4")
+    values[7] = np.nan
+    wav_factory("src/nan.wav", audio_format=3, bits=32, payload=values.tobytes())
+    out = tmp_path / "img"
+    result = runner.invoke(main, ["encode", str(src), "--order", "3", "--out", str(out)])
+    assert result.exit_code == 1
+    rows = {r["input"].split("/")[-1]: r for r in read_manifest(out / "manifest.csv")}
+    assert rows["good.wav"]["status"] == "ok"
+    assert rows["nan.wav"]["status"] == "error" and "index 7" in rows["nan.wav"]["error"]
+    assert not (out / "nan.sfci").exists()
+
+
 def test_encode_rejects_oversized_clip(tmp_path, runner):
     write_clip(tmp_path / "long.wav", length=20)
     out = tmp_path / "img"

@@ -17,6 +17,7 @@ from sfcaudio.signal import (
     WavFormatError,
     WavSampleRateError,
     WavTruncatedError,
+    _window_energies,
     center,
     load_wav,
     random_shift,
@@ -71,10 +72,39 @@ def test_stereo_rejected(wav_factory):
     dict(audio_format=6, bits=8),    # a-law
     dict(audio_format=1, bits=8),    # PCM8
     dict(audio_format=3, bits=64),   # double float
+    dict(sub_format=6, bits=8),      # extensible, a-law
+    dict(sub_format=1, bits=24),     # extensible, PCM24
+    dict(sub_format=3, bits=64),     # extensible, double float
+    dict(sub_format=bytes(range(16)), bits=16),  # not a KSDATAFORMAT GUID
 ])
 def test_unsupported_encoding_rejected(wav_factory, kwargs):
     with pytest.raises(WavEncodingError):
         load_wav(wav_factory(payload=b"\x00" * 8, **kwargs))
+
+
+@pytest.mark.parametrize("sub_format, bits, dtype", [
+    (1, 16, "<i2"),   # KSDATAFORMAT_SUBTYPE_PCM
+    (3, 32, "<f4"),   # KSDATAFORMAT_SUBTYPE_IEEE_FLOAT
+])
+def test_extensible_accepted(wav_factory, sub_format, bits, dtype):
+    payload = np.array([-16384, 0, 8192], dtype=dtype).tobytes()
+    plain = load_wav(wav_factory("plain.wav", audio_format=sub_format, bits=bits, payload=payload))
+    ext = load_wav(wav_factory("ext.wav", sub_format=sub_format, bits=bits, payload=payload))
+    assert np.array_equal(ext.samples, plain.samples)
+    assert ext.samples.any()
+
+
+def test_extensible_short_fmt_rejected(wav_factory):
+    # tag 0xFFFE with a plain 16-byte fmt chunk has no sub-format to read
+    with pytest.raises(WavFormatError, match="extensible"):
+        load_wav(wav_factory(audio_format=0xFFFE, payload=b"\x00" * 8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_float_rejected(wav_factory, bad):
+    values = np.array([0.25, -0.5, 0.0, bad, bad], dtype="<f4")
+    with pytest.raises(WavEncodingError, match="index 3"):
+        load_wav(wav_factory(audio_format=3, bits=32, payload=values.tobytes()))
 
 
 def test_truncated_data_rejected(wav_factory):
@@ -173,6 +203,67 @@ def test_translate_moves_and_zero_fills():
 
 
 # --- centering -------------------------------------------------------------------
+
+def loop_window_energies(samples, params):
+    """Reference: one Gaussian-weighted energy per window, window by window."""
+    n = samples.shape[0]
+    energies = []
+    spans = []
+    for a in range(0, n, params.w):
+        b = min(a + params.w, n)
+        t = np.arange(a, b, dtype=np.float64)
+        c = (a + b - 1) / 2.0
+        g = np.exp(-((t - c) ** 2) / (2.0 * params.sigma**2))
+        seg = samples[a:b]
+        energies.append(float(np.sum(g * seg * seg) / np.sum(g)))
+        spans.append((a, b))
+    return np.array(energies), spans
+
+
+def loop_center(samples, params):
+    """Reference :func:`center` built on :func:`loop_window_energies`."""
+    energies, spans = loop_window_energies(samples, params)
+    active = np.flatnonzero(energies >= params.th)
+    if active.size == 0:
+        return samples
+    start, end = spans[active[0]][0], spans[active[-1]][1]
+    return translate(samples, round(len(samples) / 2 - (start + end) / 2))
+
+
+@pytest.mark.parametrize("n, w, sigma, source", [
+    (16000, 100, 25.0, "pcm"),      # the CLI defaults on a 1-s clip
+    (16000, 100, 25.0, "nan"),
+    (350, 100, 25.0, "pcm"),        # 50-sample tail window
+    (16001, 100, 25.0, "normal"),   # 1-sample tail window
+    (4097, 600, 200.0, "nan"),      # NaN in the tail window
+    (777, 777, 3.0, "pcm"),         # w == n: one window
+    (500, 1, 0.5, "normal"),        # w == 1: one sample per window
+    (1, 1, 25.0, "pcm"),
+    (39999, 333, 0.5, "pcm"),       # narrow weights, many underflow to 0
+    (12345, 7, 80.0, "normal"),     # w below numpy's 8-way unrolled sum
+    (20000, 257, 64.0, "normal"),   # w above numpy's 128-element sum blocks
+])
+def test_center_matches_loop_reference(n, w, sigma, source):
+    # a quiet floor with one loud burst in the first half, so centering moves it
+    rng = np.random.default_rng([n, w])
+    a = n // 5
+    b = a + max(1, n // 4)
+    if source == "normal":
+        samples = rng.normal(0.0, 0.003, n)
+        samples[a:b] = rng.normal(0.0, 0.5, b - a)
+    else:  # on the int16/32768 grid
+        samples = rng.integers(-32, 33, n) / 32768.0
+        samples[a:b] = rng.integers(-32768, 32768, b - a) / 32768.0
+    if source == "nan":
+        samples[[n // 3, n - 1]] = np.nan  # the last sample sits in the last window
+    params = CenterParams(w=w, sigma=sigma)
+    expected, _ = loop_window_energies(samples, params)
+    # exact: the windows are summed in the same order, so no tolerance
+    assert np.array_equal(_window_energies(samples, params), expected, equal_nan=True)
+    assert np.array_equal(
+        center(AudioClip(samples), params).samples, loop_center(samples, params), equal_nan=True
+    )
+
 
 def test_center_impulse_burst():
     s = np.zeros(16000)
