@@ -270,13 +270,11 @@ def curve_table_cmd(curve, order, out):
     target = open(out, "w") if out else click.get_text_stream("stdout")
     try:
         target.write("t,x,y\n")
-        xs, ys = cm.xs, cm.ys
         chunk = 1 << 20
         for start in range(0, cm.size, chunk):
             stop = min(start + chunk, cm.size)
-            target.write(
-                "\n".join(f"{t},{xs[t]},{ys[t]}" for t in range(start, stop)) + "\n"
-            )
+            rows = zip(range(start, stop), cm.xs[start:stop].tolist(), cm.ys[start:stop].tolist())
+            target.write("\n".join(f"{t},{x},{y}" for t, x, y in rows) + "\n")
     finally:
         if out:
             target.close()

@@ -65,11 +65,6 @@ class CurveMap:
         """Cell count 4^order."""
         return 1 << (2 * self.order)
 
-    @property
-    def forward(self) -> np.ndarray:
-        """(4^k, 2) array of (x, y) rows, built on demand."""
-        return np.column_stack((self.xs, self.ys))
-
     def __len__(self) -> int:
         return self.size
 
@@ -82,48 +77,74 @@ def _check_order(order: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bit-interleaving curves
+# self-similar curves: quadrant composition
+#
+# One level of Hilbert, Z or the H triangle is four images of the level
+# below. Copy q maps each cell (x, y) of the s x s block by one square
+# symmetry (m = s - 1) and shifts it by s times its quadrant; the copies
+# run in list order (M. Bader, Space-Filling Curves, Springer 2013).
 
-def _deinterleave(bits: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    # x from odd bit positions, y from even bit positions
-    x = np.zeros_like(bits)
-    y = np.zeros_like(bits)
-    for b in range(order):
-        x |= ((bits >> (2 * b + 1)) & 1) << b
-        y |= ((bits >> (2 * b)) & 1) << b
-    return x, y
+_HILBERT_COPIES = (
+    lambda x, y, s, m: (y, x),
+    lambda x, y, s, m: (x, y + s),
+    lambda x, y, s, m: (x + s, y + s),
+    lambda x, y, s, m: (s + m - y, m - x),
+)
+
+# copy q is offset by s * (q >> 1) in x and s * (q & 1) in y, which puts
+# x on the odd bits and y on the even bits of the index
+_Z_COPIES = (
+    lambda x, y, s, m: (x, y),
+    lambda x, y, s, m: (x, y + s),
+    lambda x, y, s, m: (x + s, y),
+    lambda x, y, s, m: (x + s, y + s),
+)
+
+# The H curve is a closed king-move tour. These copies build its first part,
+# the triangle y <= x; the third copy skips the images of the previous
+# level's diagonal x == y, which the second copy has already visited.
+_H_TRIANGLE_COPIES = (
+    lambda x, y, s, m: (x, y),
+    lambda x, y, s, m: (s + y, m - x),
+    lambda x, y, s, m: ((s + m - y)[x != y], x[x != y]),
+    lambda x, y, s, m: (x + s, y + s),
+)
 
 
-def _z_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    t = np.arange(1 << (2 * order), dtype=np.int64)
-    return _deinterleave(t, order)
-
-
-def _gray_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    t = np.arange(1 << (2 * order), dtype=np.int64)
-    return _deinterleave(t ^ (t >> 1), order)
+def _compose(order: int, copies) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the four ``copies`` ``order`` times, starting from cell (0, 0)."""
+    xs = np.zeros(1, dtype=np.uint16)
+    ys = np.zeros(1, dtype=np.uint16)
+    for level in range(order):
+        s = 1 << level
+        parts = [copy(xs, ys, s, s - 1) for copy in copies]
+        xs = np.concatenate([px for px, _ in parts])
+        ys = np.concatenate([py for _, py in parts])
+    return xs, ys
 
 
 def _hilbert_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Iterative bit transformation, lowest quad first."""
-    n = 1 << order
-    t = np.arange(n * n, dtype=np.int64)
-    x = np.zeros(n * n, dtype=np.int64)
-    y = np.zeros(n * n, dtype=np.int64)
-    s = 1
-    while s < n:
-        rx = 1 & (t >> 1)
-        ry = 1 & (t ^ rx)
-        flip = (ry == 0) & (rx == 1)
-        x = np.where(flip, s - 1 - x, x)
-        y = np.where(flip, s - 1 - y, y)
-        swap = ry == 0
-        x, y = np.where(swap, y, x), np.where(swap, x, y)
-        x += s * rx
-        y += s * ry
-        t >>= 2
-        s <<= 1
-    return x, y
+    return _compose(order, _HILBERT_COPIES)
+
+
+def _z_points(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return _compose(order, _Z_COPIES)
+
+
+def _gray_points(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z visited in reflected-binary order: index t reads Z at t ^ (t >> 1)."""
+    xs, ys = _z_points(order)
+    g = np.arange(xs.size, dtype=np.uint32)
+    g ^= g >> 1
+    return xs[g], ys[g]
+
+
+def _h_points(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The triangle y <= x, then the 180-degree rotation of its cells y < x."""
+    xs, ys = _compose(order, _H_TRIANGLE_COPIES)
+    off = xs != ys
+    top = (1 << order) - 1
+    return np.concatenate([xs, top - xs[off]]), np.concatenate([ys, top - ys[off]])
 
 
 # ---------------------------------------------------------------------------
@@ -131,76 +152,31 @@ def _hilbert_points(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sweep_points(order: int) -> tuple[np.ndarray, np.ndarray]:
     n = 1 << order
-    t = np.arange(n * n, dtype=np.int64)
-    return t % n, t // n
+    ramp = np.arange(n, dtype=np.uint16)
+    return np.tile(ramp, n), np.repeat(ramp, n)
 
 
 def _scan_points(order: int) -> tuple[np.ndarray, np.ndarray]:
     # like sweep but every odd row runs right-to-left
     n = 1 << order
-    t = np.arange(n * n, dtype=np.int64)
-    y = t // n
-    x = t % n
-    return np.where((y & 1) == 0, x, n - 1 - x), y
+    ramp = np.arange(n, dtype=np.uint16)
+    return np.tile(np.concatenate([ramp, ramp[::-1]]), n // 2), np.repeat(ramp, n)
 
 
 def _diagonal_points(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Anti-diagonal zigzag: diagonal d = x + y, direction alternating."""
     n = 1 << order
-    yy, xx = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    d = xx + yy
-    lo = np.maximum(0, d - n + 1)
-    hi = np.minimum(d, n - 1)
-    base = np.where(
-        d < n,
-        d * (d + 1) // 2,
-        n * n - (2 * n - 1 - d) * (2 * n - d) // 2,
-    )
-    idx = base + np.where((d & 1) == 0, xx - lo, hi - xx)
-    xs = np.empty(n * n, dtype=np.int64)
-    ys = np.empty(n * n, dtype=np.int64)
-    xs[idx] = xx
-    ys[idx] = yy
+    ramp = np.arange(n, dtype=np.uint16)
+    xs = np.empty(n * n, dtype=np.uint16)
+    ys = np.empty(n * n, dtype=np.uint16)
+    start = 0
+    for d in range(2 * n - 1):
+        lo, hi = max(0, d - n + 1), min(d, n - 1)
+        stop = start + hi - lo + 1
+        xs[start:stop] = ramp[lo:hi + 1] if d % 2 == 0 else ramp[lo:hi + 1][::-1]
+        np.subtract(d, xs[start:stop], out=ys[start:stop])
+        start = stop
     return xs, ys
-
-
-# ---------------------------------------------------------------------------
-# H curve: traversal of a right-triangle bisection hierarchy
-#
-# The unit square splits into two right isosceles triangles along the main
-# diagonal; each triangle splits recursively at the midpoint of its
-# hypotenuse. Visiting leaf triangles in traversal order and keeping the
-# first visit to each cell yields a closed king-move tour of the grid.
-
-def _h_leaf_cells(order: int, a, b, c) -> np.ndarray:
-    """Leaf cells of one top-level triangle, first visit only, in order."""
-    n = 1 << order
-    A = np.array([a], dtype=np.int32)
-    B = np.array([b], dtype=np.int32)
-    C = np.array([c], dtype=np.int32)
-    for _ in range(2 * order):
-        M = (A + B) >> 1
-        A2 = np.empty((2 * A.shape[0], 2), dtype=np.int32)
-        B2 = np.empty_like(A2)
-        C2 = np.empty_like(A2)
-        A2[0::2], B2[0::2], C2[0::2] = A, C, M
-        A2[1::2], B2[1::2], C2[1::2] = C, B, M
-        A, B, C = A2, B2, C2
-    cells = np.minimum(np.minimum(A, B), C)
-    ids = cells[:, 1].astype(np.int64) * n + cells[:, 0]
-    _, first = np.unique(ids, return_index=True)
-    return cells[np.sort(first)]
-
-
-def _h_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    n = 1 << order
-    lower = _h_leaf_cells(order, (0, 0), (n, n), (n, 0))
-    upper = _h_leaf_cells(order, (n, n), (0, 0), (0, n))
-    cells = np.concatenate([lower, upper])
-    ids = cells[:, 1].astype(np.int64) * n + cells[:, 0]
-    _, first = np.unique(ids, return_index=True)
-    cells = cells[np.sort(first)]
-    return cells[:, 0].astype(np.int64), cells[:, 1].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -279,61 +255,50 @@ _OPTR_ANCHORS = ((0, 0), (2, 0), (4, 0), (0, 2), (4, 2), (0, 4), (2, 4), (4, 4))
 _OPTR_ANCHOR_ID = {p: i for i, p in enumerate(_OPTR_ANCHORS)}
 
 
-def _optr_compile() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten the rule grammar into anchor-id lookup tables.
+def _optr_compile() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten the rule grammar into lookup tables indexed by anchor pair.
 
-    Returns (pair_index, qdx, qdy, child_entry, child_exit) where
-    pair_index[entry_id, exit_id] selects a rule row, and each rule row
-    holds four children in traversal order.
+    A square's state is entry_id * 8 + exit_id. Returns (qdx, qdy, child),
+    each of shape (64, 4): row ``state`` holds the quadrant offsets and the
+    states of the square's four children in traversal order.
     """
-    pair_index = np.full((8, 8), -1, dtype=np.int64)
-    qdx, qdy, cent, cext = [], [], [], []
+    qdx = np.zeros((64, 4), dtype=np.uint16)
+    qdy = np.zeros((64, 4), dtype=np.uint16)
+    child = np.zeros((64, 4), dtype=np.uint8)
+    known = np.zeros(64, dtype=bool)
     for g in _OPTR_TRANSFORMS:
         for (ent, ext), children in _OPTR_BASE_RULES.items():
-            key = (_OPTR_ANCHOR_ID[g(*ent)], _OPTR_ANCHOR_ID[g(*ext)])
-            if pair_index[key] >= 0:
+            state = _OPTR_ANCHOR_ID[g(*ent)] * 8 + _OPTR_ANCHOR_ID[g(*ext)]
+            if known[state]:
                 continue
-            row_qx, row_qy, row_e, row_x = [], [], [], []
-            for (qoff, ce, cx) in children:
+            known[state] = True
+            for i, (qoff, ce, cx) in enumerate(children):
                 g1 = g(*qoff)
                 g2 = g(qoff[0] + 2, qoff[1] + 2)
                 qx, qy = min(g1[0], g2[0]), min(g1[1], g2[1])
                 ge, gx_ = g(*ce), g(*cx)
-                row_qx.append(qx // 2)
-                row_qy.append(qy // 2)
-                row_e.append(_OPTR_ANCHOR_ID[(ge[0] - qx) * 2, (ge[1] - qy) * 2])
-                row_x.append(_OPTR_ANCHOR_ID[(gx_[0] - qx) * 2, (gx_[1] - qy) * 2])
-            pair_index[key] = len(qdx)
-            qdx.append(row_qx)
-            qdy.append(row_qy)
-            cent.append(row_e)
-            cext.append(row_x)
-    return (
-        pair_index,
-        np.array(qdx, dtype=np.int64),
-        np.array(qdy, dtype=np.int64),
-        np.array(cent, dtype=np.int64),
-        np.array(cext, dtype=np.int64),
-    )
+                qdx[state, i] = qx // 2
+                qdy[state, i] = qy // 2
+                child[state, i] = (_OPTR_ANCHOR_ID[(ge[0] - qx) * 2, (ge[1] - qy) * 2] * 8
+                                   + _OPTR_ANCHOR_ID[(gx_[0] - qx) * 2, (gx_[1] - qy) * 2])
+    if not known[child[known]].all():  # the grammar must be closed
+        raise AssertionError("no rule for some child anchor pair")
+    return qdx, qdy, child
 
 
 _OPTR_TABLES = _optr_compile()
 
 
 def _optr_points(order: int) -> tuple[np.ndarray, np.ndarray]:
-    pair_index, qdx, qdy, cent, cext = _OPTR_TABLES
-    gx = np.zeros(1, dtype=np.int64)
-    gy = np.zeros(1, dtype=np.int64)
-    ent = np.array([_OPTR_ANCHOR_ID[(0, 0)]], dtype=np.int64)
-    ext = np.array([_OPTR_ANCHOR_ID[(4, 4)]], dtype=np.int64)
+    qdx, qdy, child = _OPTR_TABLES
+    gx = np.zeros(1, dtype=np.uint16)
+    gy = np.zeros(1, dtype=np.uint16)
+    state = np.array([_OPTR_ANCHOR_ID[(0, 0)] * 8 + _OPTR_ANCHOR_ID[(4, 4)]], dtype=np.uint8)
     for _ in range(order):
-        rule = pair_index[ent, ext]
-        if np.any(rule < 0):  # grammar is closed; this would be a table bug
-            raise AssertionError("no rule for anchor pair")
-        gx = (gx[:, None] * 2 + qdx[rule]).ravel()
-        gy = (gy[:, None] * 2 + qdy[rule]).ravel()
-        ent = cent[rule].ravel()
-        ext = cext[rule].ravel()
+        # np.take on a uint8 state runs about 4x faster here than fancy indexing
+        gx = (gx[:, None] * 2 + np.take(qdx, state, axis=0)).ravel()
+        gy = (gy[:, None] * 2 + np.take(qdy, state, axis=0)).ravel()
+        state = np.take(child, state, axis=0).ravel()
     return gx, gy
 
 
@@ -360,11 +325,10 @@ def build_curve(kind: CurveKind, order: int) -> CurveMap:
     kind = CurveKind(kind)
     order = _check_order(order)
     n = 1 << order
-    x, y = _BUILDERS[kind](order)
-    xs = np.ascontiguousarray(x, dtype=np.uint16)
-    ys = np.ascontiguousarray(y, dtype=np.uint16)
-    inverse = np.empty((n, n), dtype=np.uint32)
-    inverse[ys, xs] = np.arange(n * n, dtype=np.uint32)
+    xs, ys = _BUILDERS[kind](order)
+    inverse = np.empty(n * n, dtype=np.uint32)
+    inverse[ys.astype(np.uint32) * n + xs] = np.arange(n * n, dtype=np.uint32)
+    inverse = inverse.reshape(n, n)
     for arr in (xs, ys, inverse):
         arr.flags.writeable = False
     return CurveMap(kind=kind, order=order, xs=xs, ys=ys, inverse=inverse)

@@ -21,10 +21,11 @@ ALL_KINDS = list(CurveKind)
 # --- independent oracles -----------------------------------------------------
 
 def hilbert_by_recursion(k):
-    """Quadrant-composition construction, independent of the bit transform.
+    """Quadrant composition on Python tuples: the builder's own recursion.
 
     Each step places a transposed copy bottom-left, two shifted copies
-    above, and an anti-transposed copy bottom-right.
+    above, and an anti-transposed copy bottom-right. The independent
+    check is ``hilbert_by_bit_transform``.
     """
     pts = [(0, 0)]
     for j in range(1, k + 1):
@@ -36,6 +37,92 @@ def hilbert_by_recursion(k):
             + [(2 * m - 1 - y, m - 1 - x) for (x, y) in pts]
         )
     return pts
+
+
+def hilbert_by_bit_transform(k):
+    """Per-level bit transformation of the index, lowest quad first."""
+    n = 1 << k
+    t = np.arange(n * n, dtype=np.int64)
+    x = np.zeros(n * n, dtype=np.int64)
+    y = np.zeros(n * n, dtype=np.int64)
+    s = 1
+    while s < n:
+        rx = 1 & (t >> 1)
+        ry = 1 & (t ^ rx)
+        flip = (ry == 0) & (rx == 1)
+        x = np.where(flip, s - 1 - x, x)
+        y = np.where(flip, s - 1 - y, y)
+        swap = ry == 0
+        x, y = np.where(swap, y, x), np.where(swap, x, y)
+        x += s * rx
+        y += s * ry
+        t >>= 2
+        s <<= 1
+    return x, y
+
+
+def deinterleave(bits, k):
+    """x from the odd bit positions of each index, y from the even ones."""
+    x = np.zeros_like(bits)
+    y = np.zeros_like(bits)
+    for b in range(k):
+        x |= ((bits >> (2 * b + 1)) & 1) << b
+        y |= ((bits >> (2 * b)) & 1) << b
+    return x, y
+
+
+def z_by_deinterleave(k):
+    return deinterleave(np.arange(4**k, dtype=np.int64), k)
+
+
+def gray_by_deinterleave(k):
+    t = np.arange(4**k, dtype=np.int64)
+    return deinterleave(t ^ (t >> 1), k)
+
+
+def h_leaf_cells(k, a, b, c):
+    """Leaf cells of one vertex triangle bisected 2k times, first visit only."""
+    n = 1 << k
+    A = np.array([a], dtype=np.int32)
+    B = np.array([b], dtype=np.int32)
+    C = np.array([c], dtype=np.int32)
+    for _ in range(2 * k):
+        M = (A + B) >> 1
+        A2 = np.empty((2 * A.shape[0], 2), dtype=np.int32)
+        B2 = np.empty_like(A2)
+        C2 = np.empty_like(A2)
+        A2[0::2], B2[0::2], C2[0::2] = A, C, M
+        A2[1::2], B2[1::2], C2[1::2] = C, B, M
+        A, B, C = A2, B2, C2
+    cells = np.minimum(np.minimum(A, B), C)
+    ids = cells[:, 1].astype(np.int64) * n + cells[:, 0]
+    _, first = np.unique(ids, return_index=True)
+    return cells[np.sort(first)]
+
+
+def h_by_bisection(k):
+    """Traversal of the right-triangle bisection hierarchy of the square.
+
+    The square splits along its main diagonal into two triangles, each
+    split recursively at the midpoint of its hypotenuse; the leaf
+    triangles' cells, first visit only, form the H tour.
+    """
+    n = 1 << k
+    lower = h_leaf_cells(k, (0, 0), (n, n), (n, 0))
+    upper = h_leaf_cells(k, (n, n), (0, 0), (0, n))
+    cells = np.concatenate([lower, upper])
+    ids = cells[:, 1].astype(np.int64) * n + cells[:, 0]
+    _, first = np.unique(ids, return_index=True)
+    cells = cells[np.sort(first)]
+    return cells[:, 0], cells[:, 1]
+
+
+REFERENCE_BUILDERS = {
+    CurveKind.HILBERT: hilbert_by_bit_transform,
+    CurveKind.Z: z_by_deinterleave,
+    CurveKind.GRAY: gray_by_deinterleave,
+    CurveKind.H: h_by_bisection,
+}
 
 
 def diagonal_by_loop(k):
@@ -257,6 +344,14 @@ def test_diagonal_matches_loop_construction(k):
 def test_hilbert_matches_recursive_construction(k):
     cm = build_curve(CurveKind.HILBERT, k)
     assert points(cm) == hilbert_by_recursion(k)
+
+
+@pytest.mark.parametrize("kind", list(REFERENCE_BUILDERS))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_builder_matches_reference_algorithm(kind, k):
+    xs, ys = REFERENCE_BUILDERS[kind](k)
+    cm = build_curve(kind, k)
+    assert np.array_equal(cm.xs, xs) and np.array_equal(cm.ys, ys)
 
 
 def test_h_order3_frozen_table():
