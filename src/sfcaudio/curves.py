@@ -319,8 +319,10 @@ _BUILDERS = {
 def build_curve(kind: CurveKind, order: int) -> CurveMap:
     """Construct the full forward/inverse tables for one curve.
 
-    Deterministic: repeated builds return identical tables. Memory is
-    O(4^order); the top order 13 allocates tables for 67M cells.
+    Deterministic: repeated builds return identical tables. Time and memory
+    are O(4^order). At the top order 13 the tables hold 67M cells (0.54 GB)
+    and a build of any curve peaked at 1058 MiB resident (VmHWM of a fresh
+    process) and took 0.8-3.6 s on a 2-core x86-64 host with numpy 2.4.
     """
     kind = CurveKind(kind)
     order = _check_order(order)
