@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 input/processing failure, 2 usage error (from
 argument parsing), 3 verification failure in ``verify-lemma``.
 
-Environment overrides: SFCAUDIO_WORKERS (thread count for directory
-conversion) and SFCAUDIO_LOG_LEVEL.
+Environment override: SFCAUDIO_LOG_LEVEL.
 """
 
 from __future__ import annotations
@@ -13,18 +12,18 @@ import csv
 import logging
 import os
 import sys
-from concurrent import futures
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .curves import MAX_ORDER, CurveKind, build_curve, get_curve
+from .curves import MAX_ORDER, CurveKind, build_curve
 from .equivariance import sweep_lemma, sweep_to_text, witnesses_to_csv
 from .imaging import (
     MixupParams,
     RawFormatError,
     decode as decode_image,
+    draw_mixup_lambdas,
     encode as encode_clip,
     export_pgm,
     export_raw,
@@ -49,16 +48,6 @@ MANIFEST_FIELDS = [
 logger = logging.getLogger("sfcaudio")
 
 _CURVE_NAMES = [k.name.lower() for k in CurveKind]
-
-
-def _worker_count() -> int:
-    env = os.environ.get("SFCAUDIO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer SFCAUDIO_WORKERS=%r", env)
-    return min(8, os.cpu_count() or 1)
 
 
 def _parse_span(text: str, what: str) -> list[int]:
@@ -134,10 +123,8 @@ def encode_cmd(source: Path, curve, order, center_args, shift_args, fmt, out: Pa
     cparams = None
     if center_args is not None:
         cparams = CenterParams(w=int(center_args[0]), sigma=center_args[1], th=center_args[2])
-    get_curve(kind, order)  # build the shared table before the pool starts
 
-    def convert(item):
-        index, path = item
+    def convert(index, path):
         row = _blank_row()
         row["input"] = os.path.relpath(path, out)
         row["curve"] = kind.name.lower()
@@ -173,8 +160,7 @@ def encode_cmd(source: Path, curve, order, center_args, shift_args, fmt, out: Pa
             row["error"] = str(exc)
         return row
 
-    with futures.ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(convert, enumerate(inputs)))
+    rows = [convert(index, path) for index, path in enumerate(inputs)]
 
     _write_manifest(out / "manifest.csv", rows)
     failed = sum(1 for r in rows if r["status"] != "ok")
@@ -218,10 +204,9 @@ def mixup_cmd(manifest: Path, alpha, seed, out: Path):
         click.echo("need at least two ok .sfci rows to mix", err=True)
         sys.exit(EXIT_INPUT)
 
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(usable))
+    perm = np.random.default_rng(seed).permutation(len(usable))
     pair_count = len(usable) // 2
-    lams = rng.beta(alpha, alpha, size=pair_count)
+    lams = draw_mixup_lambdas(alpha, seed, pair_count)
     if len(usable) % 2:
         logger.info("odd row count; leaving one file unmixed")
     out.mkdir(parents=True, exist_ok=True)
@@ -281,7 +266,7 @@ def curve_table_cmd(curve, order, out):
 
 
 @main.command("locality")
-@click.option("--order", type=click.IntRange(1, 8), default=6, show_default=True)
+@click.option("--order", type=click.IntRange(1, MAX_ORDER), default=6, show_default=True)
 @click.option("--gaps", default="1,4,16,64,256", show_default=True, help="comma-separated index gaps")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)

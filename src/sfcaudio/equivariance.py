@@ -118,15 +118,12 @@ def fold(seq, kind: CurveKind, k: int) -> SfcImage:
     cm = get_curve(CurveKind(kind), k)
     if seq.shape != (cm.size,):
         raise ValueError(f"sequence must have exactly {cm.size} values, got shape {seq.shape}")
-    pixels = np.empty((cm.n, cm.n), dtype=np.float64)
-    pixels[cm.ys, cm.xs] = seq
-    return SfcImage(kind=cm.kind, order=cm.order, length=cm.size, pixels=pixels)
+    return SfcImage(kind=cm.kind, order=cm.order, length=cm.size, pixels=cm.scatter(seq))
 
 
 def unfold(image: SfcImage) -> np.ndarray:
     """Gather the full pixel grid back into curve order."""
-    cm = get_curve(image.kind, image.order)
-    return image.pixels[cm.ys, cm.xs]
+    return get_curve(image.kind, image.order).gather(image.pixels)
 
 
 def strided_conv(image: SfcImage, kernel: Kernel) -> np.ndarray:
@@ -142,11 +139,6 @@ def strided_conv(image: SfcImage, kernel: Kernel) -> np.ndarray:
     m = image.n // b
     blocks = image.pixels.reshape(m, b, m, b)
     return np.einsum("ibjc,bc->ij", blocks, kernel.weights)
-
-
-def _grid_to_seq(grid: np.ndarray, kind: CurveKind, order: int) -> np.ndarray:
-    cm = get_curve(kind, order)
-    return grid[cm.ys, cm.xs]
 
 
 def _is_integer_valued(a: np.ndarray) -> bool:
@@ -178,8 +170,9 @@ def check_equivariance(
 
     r = d << (2 * l)  # rotate the input by d blocks of 4^l samples
     shifted = circular_shift(seq, r)
-    a_side = _grid_to_seq(strided_conv(fold(shifted, kind, k), kernel), kind, k - l)
-    base = _grid_to_seq(strided_conv(fold(seq, kind, k), kernel), kind, k - l)
+    coarse = get_curve(kind, k - l)
+    a_side = coarse.gather(strided_conv(fold(shifted, kind, k), kernel))
+    base = coarse.gather(strided_conv(fold(seq, kind, k), kernel))
     b_side = circular_shift(base, d)
 
     diff = float(np.max(np.abs(a_side - b_side))) if out_len else 0.0

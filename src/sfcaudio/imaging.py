@@ -78,19 +78,13 @@ class MixupParams:
 def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
     """Scatter a clip onto the grid along the curve; pads the tail with zeros."""
     cm = get_curve(CurveKind(kind), order)
-    if clip.length > cm.size:
-        raise ValueError(f"clip of {clip.length} samples exceeds {cm.size} cells at order {order}")
-    padded = np.zeros(cm.size, dtype=np.float64)
-    padded[: clip.length] = clip.samples
-    pixels = np.empty((cm.n, cm.n), dtype=np.float64)
-    pixels[cm.ys, cm.xs] = padded
+    pixels = cm.scatter(clip.samples)
     return SfcImage(kind=cm.kind, order=cm.order, length=clip.length, pixels=pixels)
 
 
 def decode(image: SfcImage, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
     """Gather pixels in curve order and drop the padding."""
-    cm = get_curve(image.kind, image.order)
-    seq = image.pixels[cm.ys, cm.xs]
+    seq = get_curve(image.kind, image.order).gather(image.pixels)
     return AudioClip(seq[: image.length], sample_rate)
 
 
@@ -130,8 +124,7 @@ def export_pgm(image: SfcImage, path) -> None:
 
 def export_raw(image: SfcImage, path) -> None:
     """Lossless .sfci file: 12-byte header, then float32 samples in curve order."""
-    cm = get_curve(image.kind, image.order)
-    seq = image.pixels[cm.ys, cm.xs].astype("<f4")
+    seq = get_curve(image.kind, image.order).gather(image.pixels).astype("<f4")
     header = RAW_HEADER.pack(
         RAW_MAGIC, RAW_VERSION, int(image.kind), image.order, 0, image.length
     )
@@ -163,8 +156,7 @@ def import_raw(path) -> SfcImage:
     got = len(data) - RAW_HEADER_SIZE
     if got != expected:
         raise RawFormatError(f"payload of {expected} bytes expected, got {got}", RAW_HEADER_SIZE)
-    seq = np.frombuffer(data, dtype="<f4", offset=RAW_HEADER_SIZE).astype(np.float64)
-    cm = get_curve(kind, order)
-    pixels = np.empty((cm.n, cm.n), dtype=np.float64)
-    pixels[cm.ys, cm.xs] = seq
+    # float32 -> float64 is exact, so the payload is scattered as it is
+    seq = np.frombuffer(data, dtype="<f4", offset=RAW_HEADER_SIZE)
+    pixels = get_curve(kind, order).scatter(seq)
     return SfcImage(kind=kind, order=order, length=length, pixels=pixels)

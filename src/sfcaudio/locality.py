@@ -1,7 +1,7 @@
 """Locality analysis: how index gaps stretch into grid distance.
 
-For a curve map and a gap g, the profile scans pairs (i, i+g) and records
-the worst and mean grid distances. Continuous curves keep worst-case
+For a curve map and a gap g, the profile scans every pair (i, i+g) and
+records the worst and mean grid distances. Continuous curves keep worst-case
 growth near sqrt(g); row-based layouts stretch linearly with g. The
 ``ratio_sqrt`` and ``ratio_lin`` columns make those two regimes directly
 comparable.
@@ -17,9 +17,9 @@ import numpy as np
 
 from .curves import CurveKind, CurveMap, build_curve, jump_positions
 
-# exhaustive pair scans are O(4^k) per gap; past this order a fixed-seed
-# uniform subsample of start indices is used instead
-EXHAUSTIVE_MAX_ORDER = 8
+# start indices scanned per block: pair scans are O(4^k) per gap, and the
+# block keeps their int32 temporaries small at the top order
+_CHUNK = 1 << 20
 
 CSV_HEADER = "kind,order,gap,worst_inf,worst_l1,worst_l2,mean_inf,ratio_sqrt,ratio_lin,jump_count"
 
@@ -60,69 +60,49 @@ def grid_distance(cmap: CurveMap, i: int, j: int, p) -> float:
     raise ValueError(f"norm selector must be 1, 2 or inf, got {p!r}")
 
 
-def _gap_stats(cmap: CurveMap, gap: int, starts: np.ndarray | None) -> GapStats:
-    xs = cmap.xs.astype(np.int64)
-    ys = cmap.ys.astype(np.int64)
-    if starts is None:
-        dx = np.abs(xs[gap:] - xs[:-gap])
-        dy = np.abs(ys[gap:] - ys[:-gap])
-    else:
-        dx = np.abs(xs[starts + gap] - xs[starts])
-        dy = np.abs(ys[starts + gap] - ys[starts])
-    inf = np.maximum(dx, dy)
-    worst_inf = int(inf.max())
+def _gap_stats(cmap: CurveMap, gap: int) -> GapStats:
+    pairs = cmap.size - gap
+    worst_inf = worst_l1 = worst_sq = sum_inf = 0
+    for start in range(0, pairs, _CHUNK):
+        stop = min(start + _CHUNK, pairs)
+        # int32 holds dx*dx + dy*dy up to 2 * 8191^2 at the top order
+        dx = np.abs(cmap.xs[start + gap:stop + gap].astype(np.int32) - cmap.xs[start:stop])
+        dy = np.abs(cmap.ys[start + gap:stop + gap].astype(np.int32) - cmap.ys[start:stop])
+        inf = np.maximum(dx, dy)
+        worst_inf = max(worst_inf, int(inf.max()))
+        worst_l1 = max(worst_l1, int((dx + dy).max()))
+        worst_sq = max(worst_sq, int((dx * dx + dy * dy).max()))
+        sum_inf += int(inf.sum(dtype=np.int64))
     return GapStats(
         gap=gap,
         worst_inf=worst_inf,
-        worst_l1=int((dx + dy).max()),
-        worst_l2=float(np.sqrt(float((dx * dx + dy * dy).max()))),
-        mean_inf=float(inf.mean()),
+        worst_l1=worst_l1,
+        worst_l2=math.sqrt(worst_sq),
+        mean_inf=sum_inf / pairs,
         ratio_sqrt=worst_inf / math.sqrt(gap),
         ratio_lin=worst_inf / gap,
     )
 
 
-def worst_case_profile(
-    cmap: CurveMap,
-    gaps,
-    *,
-    sample_size: int = 1 << 16,
-    rng_seed: int = 0,
-) -> LocalityReport:
-    """Distance statistics for each gap.
-
-    Exhaustive over all start indices up to order 8. Above that, start
-    indices are a uniform subsample drawn from ``rng_seed``, so repeated
-    calls stay deterministic.
-    """
+def worst_case_profile(cmap: CurveMap, gaps) -> LocalityReport:
+    """Distance statistics for each gap, exact over all start indices."""
     gaps = [int(g) for g in gaps]
     if not gaps:
         raise ValueError("gap list must not be empty")
     for g in gaps:
         if not 1 <= g < cmap.size:
             raise ValueError(f"gap {g} outside [1, {cmap.size})")
-    rows = []
-    for g in gaps:
-        if cmap.order <= EXHAUSTIVE_MAX_ORDER:
-            starts = None
-        else:
-            rng = np.random.default_rng(rng_seed)
-            count = min(sample_size, cmap.size - g)
-            starts = rng.integers(0, cmap.size - g, size=count)
-        rows.append(_gap_stats(cmap, g, starts))
     return LocalityReport(
         kind=cmap.kind,
         order=cmap.order,
-        rows=tuple(rows),
+        rows=tuple(_gap_stats(cmap, g) for g in gaps),
         jump_count=int(jump_positions(cmap).size),
     )
 
 
-def compare_curves(order: int, gaps, **kwargs) -> list[LocalityReport]:
-    """One profile per curve kind, identical gap set. Exhaustive, so k <= 8."""
-    if order > EXHAUSTIVE_MAX_ORDER:
-        raise ValueError(f"side-by-side scans are exhaustive; order must be <= {EXHAUSTIVE_MAX_ORDER}")
-    return [worst_case_profile(build_curve(kind, order), gaps, **kwargs) for kind in CurveKind]
+def compare_curves(order: int, gaps) -> list[LocalityReport]:
+    """One profile per curve kind, identical gap set."""
+    return [worst_case_profile(build_curve(kind, order), gaps) for kind in CurveKind]
 
 
 def reports_to_csv(reports) -> str:

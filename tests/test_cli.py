@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, _worker_count, main
-from sfcaudio.curves import CurveKind, get_curve
-from sfcaudio.imaging import import_raw
+from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, main
+from sfcaudio.curves import MAX_ORDER, CurveKind, get_curve
+from sfcaudio.imaging import draw_mixup_lambdas, import_raw
 from sfcaudio.signal import AudioClip, ShiftParams, load_wav, random_shift, save_wav
 
 
@@ -282,6 +282,17 @@ def test_mixup_deterministic_pairing(tmp_path, runner):
     assert outs[0] == outs[1]
 
 
+def test_mixup_weights_come_from_the_shared_sampler(tmp_path, runner):
+    img_dir = encode_corpus(tmp_path, runner, count=6)
+    out = tmp_path / "mix"
+    assert runner.invoke(main, [
+        "mixup", str(img_dir / "manifest.csv"), "--alpha", "0.4", "--seed", "5", "--out", str(out),
+    ]).exit_code == 0
+    rows = read_manifest(out / "manifest.csv")
+    want = draw_mixup_lambdas(0.4, 5, 3)
+    assert [float(r["mixup_lambda"]) for r in rows] == want.tolist()
+
+
 def test_mixup_needs_two_rows(tmp_path, runner):
     src = tmp_path / "src"
     write_clip(src / "only.wav", length=50)
@@ -355,7 +366,7 @@ def test_locality_csv_file(tmp_path, runner):
 
 
 def test_locality_bad_inputs(runner):
-    assert runner.invoke(main, ["locality", "--order", "9"]).exit_code == 2
+    assert runner.invoke(main, ["locality", "--order", str(MAX_ORDER + 1)]).exit_code == 2
     assert runner.invoke(main, ["locality", "--order", "3", "--gaps", "0"]).exit_code == 1
     assert runner.invoke(main, ["locality", "--order", "3", "--gaps", "64"]).exit_code == 1
 
@@ -430,14 +441,3 @@ def test_parse_span():
         _parse_span("4:2", "k")
     with pytest.raises(click.UsageError):
         _parse_span("a:b", "k")
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SFCAUDIO_WORKERS", "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv("SFCAUDIO_WORKERS", "-2")
-    assert _worker_count() == 1
-    monkeypatch.setenv("SFCAUDIO_WORKERS", "junk")
-    assert _worker_count() >= 1
-    monkeypatch.delenv("SFCAUDIO_WORKERS")
-    assert 1 <= _worker_count() <= 8

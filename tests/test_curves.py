@@ -379,6 +379,7 @@ def test_forward_inverse_are_mutual(kind, k):
     cm = build_curve(kind, k)
     n = cm.n
     assert np.array_equal(cm.inverse[cm.ys, cm.xs], np.arange(n * n))
+    assert cm.inverse.dtype == np.uint32 and cm.inverse.shape == (n, n)
     assert len(set(points(cm))) == n * n
     assert cm.xs.max() < n and cm.ys.max() < n
 
@@ -404,8 +405,36 @@ def test_get_curve_caches():
 
 def test_tables_are_readonly():
     cm = build_curve(CurveKind.Z, 2)
-    with pytest.raises(ValueError):
-        cm.xs[0] = 1
+    assert "inverse" not in cm.__dict__  # built on first use
+    for table in (cm.xs, cm.ys, cm.perm, cm.inverse):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert "inverse" in cm.__dict__
+
+
+# --- scatter and gather --------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_scatter_gather_match_coordinate_tables(kind, k):
+    cm = build_curve(kind, k)
+    seq = np.random.default_rng(k).standard_normal(cm.size)
+    want = np.empty((cm.n, cm.n))
+    want[cm.ys, cm.xs] = seq
+    grid = cm.scatter(seq)
+    assert grid.dtype == np.float64 and np.array_equal(grid, want)
+    assert np.array_equal(cm.gather(want), want[cm.ys, cm.xs])
+    # a short sequence fills its own cells and leaves the rest zero
+    m = cm.size // 3 + 1
+    want_short = np.zeros((cm.n, cm.n))
+    want_short[cm.ys[:m], cm.xs[:m]] = seq[:m]
+    assert np.array_equal(cm.scatter(seq[:m]), want_short)
+
+
+def test_scatter_rejects_a_sequence_longer_than_the_grid():
+    cm = build_curve(CurveKind.HILBERT, 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        cm.scatter(np.zeros(17))
 
 
 # --- validation ----------------------------------------------------------------

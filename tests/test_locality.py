@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sfcaudio.curves import CurveKind, build_curve
+from sfcaudio import locality
+from sfcaudio.curves import MAX_ORDER, CurveKind, build_curve
 from sfcaudio.locality import (
     CSV_HEADER,
+    GapStats,
     compare_curves,
     grid_distance,
     reports_to_csv,
@@ -112,11 +114,33 @@ def test_profile_validation():
         worst_case_profile(cm, [0])
 
 
-def test_subsampled_profile_is_deterministic():
-    cm = build_curve(CurveKind.Z, 9)  # beyond the exhaustive cap
-    a = worst_case_profile(cm, [8], sample_size=4096, rng_seed=5)
-    b = worst_case_profile(cm, [8], sample_size=4096, rng_seed=5)
-    assert a == b
+def one_shot_stats(cm, gap):
+    """Every pair (i, i+gap) at once, in int64 and float64."""
+    xs = cm.xs.astype(np.int64)
+    ys = cm.ys.astype(np.int64)
+    dx = np.abs(xs[gap:] - xs[:-gap])
+    dy = np.abs(ys[gap:] - ys[:-gap])
+    inf = np.maximum(dx, dy)
+    worst_inf = int(inf.max())
+    return GapStats(
+        gap=gap,
+        worst_inf=worst_inf,
+        worst_l1=int((dx + dy).max()),
+        worst_l2=float(np.sqrt(float((dx * dx + dy * dy).max()))),
+        mean_inf=float(inf.mean()),
+        ratio_sqrt=worst_inf / math.sqrt(gap),
+        ratio_lin=worst_inf / gap,
+    )
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_chunked_scan_matches_one_shot(kind, monkeypatch):
+    cm = build_curve(kind, 5)
+    gaps = [1, 3, 100, 1000, 1023]
+    want = [one_shot_stats(cm, g) for g in gaps]
+    assert list(worst_case_profile(cm, gaps).rows) == want
+    monkeypatch.setattr(locality, "_CHUNK", 37)  # blocks that split every gap
+    assert list(worst_case_profile(cm, gaps).rows) == want
 
 
 def test_compare_curves_covers_all_kinds():
@@ -131,7 +155,7 @@ def test_compare_curves_covers_all_kinds():
 
 def test_compare_curves_order_cap():
     with pytest.raises(ValueError, match="order"):
-        compare_curves(9, [1])
+        compare_curves(MAX_ORDER + 1, [1])
 
 
 def test_csv_serialization():
