@@ -33,7 +33,6 @@ from .imaging import (
 from .locality import compare_curves, reports_to_csv, reports_to_text
 from .signal import CenterParams, ShiftParams, WavError, center, load_wav, random_shift, save_wav
 
-EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 3
 

@@ -3,8 +3,8 @@
 Eight curve families are supported, each realized as an exact bijection
 between linear indices [0, 4^k) and grid points. Tables are built eagerly
 so index/point lookups are plain array reads. This module alone knows how
-an index maps to a pixel: images are filled and read through
-:meth:`CurveMap.scatter` and :meth:`CurveMap.gather`.
+an index maps to a pixel: image grids are built with
+:meth:`CurveMap.scatter` and read back with :meth:`CurveMap.gather`.
 
 Coordinates follow image conventions: ``x`` is the column, ``y`` is the
 row, origin at the top-left corner.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_ORDER = 13
+_INVERSE_BLOCK = 1 << 20  # indices per step of the CurveMap.inverse fill
 
 
 class CurveKind(enum.IntEnum):
@@ -63,7 +64,9 @@ class CurveMap:
     def inverse(self) -> np.ndarray:
         """uint32 ``inverse[y, x]``: the index visiting (x, y); built on first use."""
         inverse = np.empty(self.size, dtype=np.uint32)
-        inverse[self.perm] = np.arange(self.size, dtype=np.uint32)
+        for start in range(0, self.size, _INVERSE_BLOCK):
+            stop = min(start + _INVERSE_BLOCK, self.size)
+            inverse[self.perm[start:stop]] = np.arange(start, stop, dtype=np.uint32)
         inverse = inverse.reshape(self.n, self.n)
         inverse.flags.writeable = False
         return inverse
@@ -392,9 +395,9 @@ def point_to_index(cmap: CurveMap, x: int, y: int) -> int:
 def jump_positions(cmap: CurveMap) -> np.ndarray:
     """Indices t where the step to t+1 moves more than one cell (any axis).
 
-    Returned sorted ascending. A curve with no jumps is continuous in the
-    king-move sense.
+    Returned sorted ascending; no jumps means continuous in the king-move
+    sense. Coordinates stay below 2^13, so int16 differences are exact.
     """
-    dx = np.abs(np.diff(cmap.xs.astype(np.int64)))
-    dy = np.abs(np.diff(cmap.ys.astype(np.int64)))
+    dx = np.abs(np.diff(cmap.xs.view(np.int16)))
+    dy = np.abs(np.diff(cmap.ys.view(np.int16)))
     return np.flatnonzero(np.maximum(dx, dy) > 1)

@@ -41,10 +41,9 @@ class Kernel:
         if self.order < 1:
             raise ValueError(f"kernel order must be >= 1, got {self.order}")
         side = 1 << self.order
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = np.array(self.weights, dtype=np.float64)
         if weights.shape != (side, side):
             raise ValueError(f"weights must be {side}x{side}, got shape {weights.shape}")
-        weights = weights.copy()
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -113,17 +112,16 @@ def circular_shift(seq: np.ndarray, r: int) -> np.ndarray:
 
 
 def fold(seq, kind: CurveKind, k: int) -> SfcImage:
-    """Scatter a full-length sequence (exactly 4^k values) onto the grid."""
-    seq = np.asarray(seq, dtype=np.float64)
-    cm = get_curve(CurveKind(kind), k)
-    if seq.shape != (cm.size,):
-        raise ValueError(f"sequence must have exactly {cm.size} values, got shape {seq.shape}")
-    return SfcImage(kind=cm.kind, order=cm.order, length=cm.size, pixels=cm.scatter(seq))
+    """Lay a full-length sequence (exactly 4^k values) out on the curve."""
+    cells = 1 << (2 * k)
+    if np.shape(seq) != (cells,):
+        raise ValueError(f"sequence must have exactly {cells} values, got shape {np.shape(seq)}")
+    return SfcImage(kind, k, cells, seq)
 
 
 def unfold(image: SfcImage) -> np.ndarray:
-    """Gather the full pixel grid back into curve order."""
-    return get_curve(image.kind, image.order).gather(image.pixels)
+    """The image's full sample sequence in curve order."""
+    return image.samples
 
 
 def strided_conv(image: SfcImage, kernel: Kernel) -> np.ndarray:

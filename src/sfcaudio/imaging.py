@@ -1,14 +1,14 @@
 """Waveform-to-image mapping and image serialization.
 
-A clip is zero-padded to 4^k samples and scattered onto a 2^k x 2^k grid
-along a space-filling curve; the original length rides along so decoding
-is exact. Mixup blends two images convexly with a Beta-distributed
-weight. Images serialize either as 16-bit PGM (lossy view) or as the
-".sfci" raw format (lossless, stores the sample sequence in curve order).
+An image keeps a clip in space-filling-curve order, zero-padded to 4^k
+samples, with its original length so decoding is exact; its 2^k x 2^k grid
+is scattered only when first read. Mixup blends images with a Beta weight.
+Images serialize as 16-bit PGM (lossy) or ".sfci" (lossless, curve order).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,31 +34,42 @@ class RawFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SfcImage:
-    """2^k x 2^k pixel grid plus the metadata needed to invert it.
+    """A clip laid out on a 2^k x 2^k grid, plus the metadata needed to invert it.
 
-    ``pixels[y, x]`` holds the sample whose curve index maps to (x, y);
-    ``length`` is the pre-padding sample count.
+    ``samples`` holds 4^k values in curve order, zero-padded past the first
+    ``length``; ``pixels[y, x]`` holds the sample whose curve index maps to (x, y).
     """
 
     kind: CurveKind
     order: int
     length: int
-    pixels: np.ndarray
+    samples: np.ndarray
 
     def __post_init__(self):
         kind = CurveKind(self.kind)
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
-        n = 1 << self.order
-        pixels = np.asarray(self.pixels, dtype=np.float64)
-        if pixels.shape != (n, n):
-            raise ValueError(f"pixels must be {n}x{n}, got shape {pixels.shape}")
-        if not 0 <= self.length <= n * n:
-            raise ValueError(f"length {self.length} outside [0, {n * n}]")
-        pixels = pixels.copy()
-        pixels.flags.writeable = False
+        cells = 1 << (2 * self.order)
+        seq = np.asarray(self.samples)
+        if seq.ndim != 1:
+            raise ValueError(f"samples must be 1-D, got shape {seq.shape}")
+        if seq.size > cells:
+            raise ValueError(f"sequence of {seq.size} values exceeds {cells} cells "
+                             f"at order {self.order}")
+        if not 0 <= self.length <= cells:
+            raise ValueError(f"length {self.length} outside [0, {cells}]")
+        samples = np.zeros(cells, dtype=np.float64)
+        samples[: seq.size] = seq  # the one owned copy; callers cannot alias it
+        samples.flags.writeable = False
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "samples", samples)
+
+    @functools.cached_property
+    def pixels(self) -> np.ndarray:
+        """float64 n x n grid, scattered along the curve on first read."""
+        pixels = get_curve(self.kind, self.order).scatter(self.samples)
+        pixels.flags.writeable = False
+        return pixels
 
     @property
     def n(self) -> int:
@@ -76,16 +87,13 @@ class MixupParams:
 
 
 def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
-    """Scatter a clip onto the grid along the curve; pads the tail with zeros."""
-    cm = get_curve(CurveKind(kind), order)
-    pixels = cm.scatter(clip.samples)
-    return SfcImage(kind=cm.kind, order=cm.order, length=clip.length, pixels=pixels)
+    """Lay a clip out along the curve; pads the tail with zeros."""
+    return SfcImage(kind, order, clip.length, clip.samples)
 
 
 def decode(image: SfcImage, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-    """Gather pixels in curve order and drop the padding."""
-    seq = get_curve(image.kind, image.order).gather(image.pixels)
-    return AudioClip(seq[: image.length], sample_rate)
+    """The image's samples without the padding."""
+    return AudioClip(image.samples[: image.length], sample_rate)
 
 
 def draw_mixup_lambdas(alpha: float, rng_seed: int, count: int = 1) -> np.ndarray:
@@ -107,11 +115,10 @@ def mixup(a: SfcImage, b: SfcImage, params: MixupParams, lam: float | None = Non
             f"({b.kind.name}, k={b.order}, L={b.length})"
         )
     if lam is None:
-        lam = float(draw_mixup_lambdas(params.alpha, params.rng_seed)[0])
-    else:
-        lam = float(lam)
-    mixed = lam * a.pixels + (1.0 - lam) * b.pixels
-    return SfcImage(kind=a.kind, order=a.order, length=a.length, pixels=mixed), lam
+        lam = draw_mixup_lambdas(params.alpha, params.rng_seed)[0]
+    lam = float(lam)
+    mixed = lam * a.samples + (1.0 - lam) * b.samples
+    return SfcImage(a.kind, a.order, a.length, mixed), lam
 
 
 def export_pgm(image: SfcImage, path) -> None:
@@ -124,7 +131,7 @@ def export_pgm(image: SfcImage, path) -> None:
 
 def export_raw(image: SfcImage, path) -> None:
     """Lossless .sfci file: 12-byte header, then float32 samples in curve order."""
-    seq = get_curve(image.kind, image.order).gather(image.pixels).astype("<f4")
+    seq = image.samples.astype("<f4")
     header = RAW_HEADER.pack(
         RAW_MAGIC, RAW_VERSION, int(image.kind), image.order, 0, image.length
     )
@@ -156,7 +163,6 @@ def import_raw(path) -> SfcImage:
     got = len(data) - RAW_HEADER_SIZE
     if got != expected:
         raise RawFormatError(f"payload of {expected} bytes expected, got {got}", RAW_HEADER_SIZE)
-    # float32 -> float64 is exact, so the payload is scattered as it is
+    # float32 -> float64 is exact, so the payload is stored as it is
     seq = np.frombuffer(data, dtype="<f4", offset=RAW_HEADER_SIZE)
-    pixels = get_curve(kind, order).scatter(seq)
-    return SfcImage(kind=kind, order=order, length=length, pixels=pixels)
+    return SfcImage(kind, order, length, seq)

@@ -55,12 +55,11 @@ class AudioClip:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
-        samples = samples.copy()
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sfcaudio import curves
 from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, main
 from sfcaudio.curves import MAX_ORDER, CurveKind, get_curve
 from sfcaudio.imaging import draw_mixup_lambdas, import_raw
@@ -226,6 +227,26 @@ def test_decode_roundtrip(tmp_path, runner):
     assert result.exit_code == 0, all_output(result)
     assert "300 samples" in result.output
     assert np.array_equal(load_wav(wav_out).samples, samples)
+
+
+def test_sfci_commands_never_build_a_curve_table(tmp_path, runner, monkeypatch):
+    originals = [write_clip(tmp_path / "src" / f"c{i}.wav", length=300, seed=i) for i in (0, 1)]
+
+    def no_tables(kind, order):
+        raise AssertionError(f"built a {kind.name} table at order {order}")
+
+    get_curve.cache_clear()
+    monkeypatch.setattr(curves, "build_curve", no_tables)
+    img, mix = tmp_path / "img", tmp_path / "mix"
+    for args in (
+        ["encode", str(tmp_path / "src"), "--curve", "optr", "--order", "5", "--out", str(img)],
+        ["decode", str(img / "c1.sfci"), "--out", str(tmp_path / "c1.wav")],
+        ["mixup", str(img / "manifest.csv"), "--out", str(mix)],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, all_output(result)
+    assert np.array_equal(load_wav(tmp_path / "c1.wav").samples, originals[1])
+    assert [r["status"] for r in read_manifest(mix / "manifest.csv")] == ["ok"]
 
 
 def test_decode_rejects_garbage(tmp_path, runner):

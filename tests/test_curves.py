@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sfcaudio import curves
 from sfcaudio.curves import (
     MAX_ORDER,
     CurveKind,
@@ -410,6 +411,18 @@ def test_tables_are_readonly():
         with pytest.raises(ValueError):
             table[0] = 1
     assert "inverse" in cm.__dict__
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_blockwise_inverse_matches_one_shot(kind, monkeypatch):
+    monkeypatch.setattr(curves, "_INVERSE_BLOCK", 37)  # blocks that end mid-row
+    cm = build_curve(kind, 5)
+    want = np.empty((cm.n, cm.n), dtype=np.uint32)
+    want[cm.ys, cm.xs] = np.arange(cm.size, dtype=np.uint32)
+    inverse = cm.inverse
+    assert inverse.dtype == np.uint32 and inverse.shape == (cm.n, cm.n)
+    assert np.array_equal(inverse, want)
+    assert not inverse.flags.writeable
 
 
 # --- scatter and gather --------------------------------------------------------

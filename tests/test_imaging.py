@@ -1,8 +1,11 @@
 """Image encoding, mixup, and the PGM/.sfci serializers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sfcaudio import curves
 from sfcaudio.curves import CurveKind, get_curve
 from sfcaudio.imaging import (
     RAW_HEADER_SIZE,
@@ -86,13 +89,15 @@ def test_full_grid_roundtrip():
 # --- image type -----------------------------------------------------------------
 
 def test_image_validation():
-    good = np.zeros((4, 4))
+    good = np.zeros(16)
     with pytest.raises(ValueError, match="order"):
-        SfcImage(CurveKind.Z, 0, 0, np.zeros((1, 1)))
+        SfcImage(CurveKind.Z, 0, 0, np.zeros(1))
     with pytest.raises(ValueError, match="order"):
         SfcImage(CurveKind.Z, 14, 0, good)
-    with pytest.raises(ValueError, match="4x4"):
-        SfcImage(CurveKind.Z, 2, 0, np.zeros((4, 5)))
+    with pytest.raises(ValueError, match="1-D"):  # a grid is not a curve-order sequence
+        SfcImage(CurveKind.Z, 2, 0, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="exceeds"):
+        SfcImage(CurveKind.Z, 2, 0, np.zeros(17))
     with pytest.raises(ValueError, match="length"):
         SfcImage(CurveKind.Z, 2, 17, good)
     with pytest.raises(ValueError, match="length"):
@@ -103,6 +108,67 @@ def test_image_pixels_immutable():
     image, _ = make_image()
     with pytest.raises(ValueError):
         image.pixels[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        image.samples[0] = 9.0
+
+
+def test_image_order_is_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order"):
+            SfcImage(CurveKind.Z, 14, 0, np.zeros(16))  # 4^14 cells would be 2 GiB
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_image_owns_a_zero_padded_copy_of_short_samples():
+    seq = np.array([0.5, -0.25, 1.0])
+    image = SfcImage(CurveKind.HILBERT, 2, 3, seq)
+    seq[0] = 9.0  # the caller's array does not alias the image
+    assert image.samples.dtype == np.float64
+    assert image.samples.tolist() == [0.5, -0.25, 1.0] + [0.0] * 13
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_pixels_are_scattered_on_first_read(kind, tmp_path):
+    image, samples = make_image(kind, order=4, seed=int(kind))
+    export_raw(image, tmp_path / "i.sfci")
+    back = import_raw(tmp_path / "i.sfci")
+    cm = get_curve(kind, 4)
+    for img in (image, back):
+        assert "pixels" not in img.__dict__
+        want = np.zeros((cm.n, cm.n))
+        want[cm.ys, cm.xs] = img.samples
+        assert np.array_equal(img.pixels, want)
+        assert np.array_equal(img.pixels[cm.ys, cm.xs][: samples.size], samples)
+        assert not img.pixels.flags.writeable
+        assert img.pixels is img.pixels
+
+
+def test_sfci_path_never_builds_a_curve_table(tmp_path, monkeypatch):
+    def run(tag):
+        clips = [AudioClip(np.random.default_rng(s).uniform(-1, 1, 1000)) for s in (1, 2)]
+        images = [encode(clip, CurveKind.OPTR, 5) for clip in clips]
+        paths = [tmp_path / f"{tag}{i}.sfci" for i in range(2)]
+        for image, path in zip(images, paths):
+            export_raw(image, path)
+        back = [import_raw(path) for path in paths]
+        mixed, _ = mixup(back[0], back[1], MixupParams(), lam=0.375)
+        export_raw(mixed, tmp_path / f"{tag}m.sfci")
+        decoded = [decode(image).samples.tobytes() for image in back + [mixed]]
+        written = [p.read_bytes() for p in paths + [tmp_path / f"{tag}m.sfci"]]
+        return decoded, written
+
+    want = run("with_tables")
+
+    def no_tables(kind, order):
+        raise AssertionError(f"built a {kind.name} table at order {order}")
+
+    get_curve.cache_clear()
+    monkeypatch.setattr(curves, "build_curve", no_tables)
+    assert run("without_tables") == want
 
 
 # --- mixup ----------------------------------------------------------------------
@@ -184,11 +250,12 @@ def test_pgm_header_and_size(tmp_path):
 
 
 def test_pgm_value_mapping(tmp_path):
-    pixels = np.zeros((2, 2))
-    pixels[0, 0] = -1.0   # floor of the range
-    pixels[0, 1] = 1.0    # ceiling
-    pixels[1, 0] = 1.5    # out of range, clamps
-    image = SfcImage(CurveKind.Z, 1, 4, pixels)
+    # Z at order 1 visits pixels [0, 0], [1, 0], [0, 1], [1, 1] (indexed [y, x])
+    samples = np.zeros(4)
+    samples[0] = -1.0   # pixel [0, 0]: floor of the range
+    samples[2] = 1.0    # pixel [0, 1]: ceiling
+    samples[1] = 1.5    # pixel [1, 0]: out of range, clamps
+    image = SfcImage(CurveKind.Z, 1, 4, samples)
     path = tmp_path / "v.pgm"
     export_pgm(image, path)
     gray = np.frombuffer(path.read_bytes()[-8:], dtype=">u2").reshape(2, 2)
