@@ -8,6 +8,7 @@ Environment override: SFCAUDIO_LOG_LEVEL.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import os
@@ -35,6 +36,8 @@ from .signal import CenterParams, ShiftParams, WavError, center, load_wav, rando
 
 EXIT_INPUT = 1
 EXIT_VERIFY = 3
+
+_CSV_BLOCK = 1 << 16  # rows formatted per write by curve-table
 
 MANIFEST_FIELDS = [
     "input", "output", "curve", "order", "length",
@@ -176,7 +179,7 @@ def decode_cmd(source: Path, out: Path):
     """Reconstruct a wav file from a .sfci image."""
     try:
         clip = decode_image(import_raw(source))
-    except (RawFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # RawFormatError, or a non-finite sample
         click.echo(f"{source}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -251,17 +254,37 @@ def mixup_cmd(manifest: Path, alpha, seed, out: Path):
 def curve_table_cmd(curve, order, out):
     """Dump the index -> (x, y) mapping of one curve as CSV."""
     cm = build_curve(CurveKind.from_name(curve), order)
-    target = open(out, "w") if out else click.get_text_stream("stdout")
-    try:
-        target.write("t,x,y\n")
-        chunk = 1 << 20
-        for start in range(0, cm.size, chunk):
-            stop = min(start + chunk, cm.size)
-            rows = zip(range(start, stop), cm.xs[start:stop].tolist(), cm.ys[start:stop].tolist())
-            target.write("\n".join(f"{t},{x},{y}" for t, x, y in rows) + "\n")
-    finally:
-        if out:
-            target.close()
+    with open(out, "wb") if out else contextlib.nullcontext(click.get_binary_stream("stdout")) as target:
+        target.write(b"t,x,y\n")
+        for start in range(0, cm.size, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, cm.size)
+            target.write(_csv_rows(start, cm.xs[start:stop], cm.ys[start:stop]))
+
+
+def _csv_rows(start: int, xs: np.ndarray, ys: np.ndarray) -> bytes:
+    """The ASCII rows ``f"{t},{x},{y}\\n"`` for t = start, start + 1, ...
+
+    Each field is written right-aligned into a zero-filled column of the
+    width of its block maximum; digits and separators are never zero
+    bytes, so dropping the zeros leaves the rows.
+    """
+    n = len(xs)
+    fields = (np.arange(start, start + n, dtype=np.uint32), xs.astype(np.uint32), ys.astype(np.uint32))
+    widths = [len(str(int(f.max()))) for f in fields]
+    m = np.zeros((sum(widths) + len(fields), n), dtype=np.uint8)
+    col = 0
+    for f, width, sep in zip(fields, widths, b",,\n"):
+        v = f
+        for j in range(width):  # digit j places from the right
+            present = v > 0
+            v, r = np.divmod(v, 10)
+            r += 48
+            m[col + width - 1 - j] = r if j == 0 else r * present
+        col += width
+        m[col] = sep
+        col += 1
+    flat = m.T.ravel()
+    return flat[flat != 0].tobytes()
 
 
 @main.command("locality")

@@ -49,7 +49,7 @@ class WavEncodingError(WavError):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono waveform. ``samples`` is an immutable float64 vector."""
+    """Mono waveform. ``samples`` is an immutable vector of finite float64 values."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
@@ -58,6 +58,9 @@ class AudioClip:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            bad = np.flatnonzero(~np.isfinite(samples))[0]
+            raise ValueError(f"non-finite sample {samples[bad]} at index {bad}")
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
         samples.flags.writeable = False

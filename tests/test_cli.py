@@ -1,15 +1,17 @@
 """End-to-end coverage of the sfcaudio command line."""
 
+import contextlib
 import csv
+import io
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from sfcaudio import curves
+from sfcaudio import cli, curves
 from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, main
-from sfcaudio.curves import MAX_ORDER, CurveKind, get_curve
-from sfcaudio.imaging import draw_mixup_lambdas, import_raw
+from sfcaudio.curves import MAX_ORDER, CurveKind, build_curve, get_curve
+from sfcaudio.imaging import SfcImage, draw_mixup_lambdas, export_raw, import_raw
 from sfcaudio.signal import AudioClip, ShiftParams, load_wav, random_shift, save_wav
 
 
@@ -257,6 +259,16 @@ def test_decode_rejects_garbage(tmp_path, runner):
     assert "byte offset" in all_output(result)
 
 
+def test_decode_reports_a_non_finite_sfci(tmp_path, runner):
+    samples = np.zeros(10)
+    samples[3] = np.nan
+    export_raw(SfcImage(CurveKind.Z, 2, 10, samples), tmp_path / "bad.sfci")
+    result = runner.invoke(main, ["decode", str(tmp_path / "bad.sfci"), "--out", str(tmp_path / "bad.wav")])
+    assert result.exit_code == 1
+    assert "non-finite sample nan at index 3" in all_output(result)
+    assert not (tmp_path / "bad.wav").exists()
+
+
 # --- mixup -----------------------------------------------------------------------
 
 def encode_corpus(tmp_path, runner, count=4, length=256):
@@ -364,6 +376,43 @@ def test_curve_table_file(tmp_path, runner):
     cm = get_curve(CurveKind.HILBERT, 2)
     for t, line in enumerate(lines[1:]):
         assert line == f"{t},{cm.xs[t]},{cm.ys[t]}"
+
+
+def fstring_rows(cm):
+    """The per-row f-string writer that ``_csv_rows`` replaced, as reference bytes."""
+    rows = zip(range(cm.size), cm.xs.tolist(), cm.ys.tolist())
+    return "".join(f"{t},{x},{y}\n" for t, x, y in rows).encode()
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+def test_curve_table_matches_the_fstring_writer(tmp_path, runner, monkeypatch, kind):
+    out = tmp_path / "table.csv"
+    for block in (cli._CSV_BLOCK, 7):
+        # 7-row blocks split the file mid-run of every field width and put
+        # t's 9 -> 10, 99 -> 100 and 999 -> 1000 steps inside a block
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        for order in range(1, 8):
+            result = runner.invoke(main, [
+                "curve-table", "--curve", kind.name.lower(), "--order", str(order), "--out", str(out),
+            ])
+            assert result.exit_code == 0, result.output
+            assert out.read_bytes() == b"t,x,y\n" + fstring_rows(build_curve(kind, order)), (block, order)
+
+
+def test_curve_table_file_leaves_stdout_alone(tmp_path):
+    # an in-process caller may capture stdout in a text-only stream
+    out = tmp_path / "z2.csv"
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        main(["curve-table", "--curve", "z", "--order", "2", "--out", str(out)], standalone_mode=False)
+    assert captured.getvalue() == ""
+    assert out.read_bytes() == b"t,x,y\n" + fstring_rows(build_curve(CurveKind.Z, 2))
+
+
+def test_curve_table_stdout_bytes(runner, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    result = runner.invoke(main, ["curve-table", "--curve", "optr", "--order", "3"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == b"t,x,y\n" + fstring_rows(build_curve(CurveKind.OPTR, 3))
 
 
 # --- locality --------------------------------------------------------------------

@@ -182,6 +182,11 @@ def test_clip_validation():
         AudioClip(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="rate"):
         AudioClip(np.zeros(4), sample_rate=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.zeros(10)
+        samples[[6, 8]] = bad
+        with pytest.raises(ValueError, match=f"non-finite sample {bad} at index 6"):
+            AudioClip(samples)
 
 
 def test_clip_samples_immutable():
@@ -260,9 +265,11 @@ def test_center_matches_loop_reference(n, w, sigma, source):
     expected, _ = loop_window_energies(samples, params)
     # exact: the windows are summed in the same order, so no tolerance
     assert np.array_equal(_window_energies(samples, params), expected, equal_nan=True)
-    assert np.array_equal(
-        center(AudioClip(samples), params).samples, loop_center(samples, params), equal_nan=True
-    )
+    if source == "nan":  # no clip can carry them to center
+        with pytest.raises(ValueError, match=f"non-finite sample nan at index {n // 3}"):
+            AudioClip(samples)
+        return
+    assert np.array_equal(center(AudioClip(samples), params).samples, loop_center(samples, params))
 
 
 def test_center_impulse_burst():
