@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 MAX_ORDER = 13
 _INVERSE_BLOCK = 1 << 20  # indices per step of the CurveMap.inverse fill
-# get_curve's budget: one order-13 map (0.81 GB) fits, two do not
-_CACHE_BYTES = 1_500_000_000
 
 
 class CurveKind(enum.IntEnum):
@@ -375,63 +370,10 @@ def build_curve(kind: CurveKind, order: int) -> CurveMap:
     return CurveMap(kind=kind, order=order, xs=xs, ys=ys, perm=perm)
 
 
-class CacheInfo(NamedTuple):
-    """What ``get_curve.cache_info()`` reports."""
-
-    hits: int
-    misses: int
-    currsize: int  # maps held
-    nbytes: int  # their xs, ys and perm bytes
-
-
-class _CurveCache:
-    """Memoized :func:`build_curve`; maps are immutable so sharing is safe.
-
-    Holds the least recently used maps whose ``xs``, ``ys`` and ``perm``
-    fit in ``_CACHE_BYTES`` together, evicting the oldest first; the map
-    just requested is always kept, even alone over the budget. Offers
-    ``cache_info()`` and ``cache_clear()`` like ``functools.lru_cache``.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.cache_clear()
-
-    def __call__(self, kind: CurveKind, order: int) -> CurveMap:
-        key = (CurveKind(kind), int(order))
-        with self._lock:
-            cm = self._maps.get(key)
-            if cm is not None:
-                self._maps.move_to_end(key)
-                self._hits += 1
-                return cm
-            self._misses += 1
-        cm = build_curve(*key)
-        with self._lock:
-            if key not in self._maps:
-                self._maps[key] = cm
-                self._nbytes += _table_bytes(cm)
-            self._maps.move_to_end(key)
-            while len(self._maps) > 1 and self._nbytes > _CACHE_BYTES:
-                _, old = self._maps.popitem(last=False)
-                self._nbytes -= _table_bytes(old)
-            return self._maps[key]
-
-    def cache_info(self) -> CacheInfo:
-        with self._lock:
-            return CacheInfo(self._hits, self._misses, len(self._maps), self._nbytes)
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._maps: OrderedDict[tuple[CurveKind, int], CurveMap] = OrderedDict()
-            self._nbytes = self._hits = self._misses = 0
-
-
-def _table_bytes(cm: CurveMap) -> int:
-    return cm.xs.nbytes + cm.ys.nbytes + cm.perm.nbytes
-
-
-get_curve = _CurveCache()
+@functools.lru_cache(maxsize=16)
+def get_curve(kind: CurveKind, order: int) -> CurveMap:
+    """Memoized :func:`build_curve`; maps are immutable so sharing is safe."""
+    return build_curve(CurveKind(kind), order)
 
 
 def index_to_point(cmap: CurveMap, t: int) -> tuple[int, int]:

@@ -161,17 +161,15 @@ def load_wav(path) -> AudioClip:
         if len(payload) % 4:
             raise WavTruncatedError(f"{path}: float32 data length {len(payload)} not a multiple of 4")
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise WavEncodingError(
-                f"{path}: non-finite sample {samples[bad[0]]} at index {bad[0]}"
-            )
     else:
         raise WavEncodingError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
             "only 16-bit PCM and 32-bit float are accepted"
         )
-    return AudioClip(samples, rate)
+    try:
+        return AudioClip(samples, rate)
+    except ValueError as exc:  # the one check AudioClip can fail here: a non-finite sample
+        raise WavEncodingError(f"{path}: {exc}") from None
 
 
 def save_wav(clip: AudioClip, path) -> None:

@@ -1,8 +1,6 @@
 """Curve table construction: conventions, bijectivity, continuity."""
 
 import hashlib
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -404,71 +402,6 @@ def test_build_is_deterministic():
 
 def test_get_curve_caches():
     assert get_curve(CurveKind.H, 4) is get_curve(CurveKind.H, 4)
-
-
-def table_bytes(cm):
-    return cm.xs.nbytes + cm.ys.nbytes + cm.perm.nbytes
-
-
-def test_get_curve_evicts_least_recently_used_by_bytes(monkeypatch):
-    get_curve.cache_clear()
-    h = get_curve(CurveKind.H, 3)
-    z = get_curve(CurveKind.Z, 3)
-    monkeypatch.setattr(curves, "_CACHE_BYTES", table_bytes(h) + table_bytes(z))
-    assert get_curve(CurveKind.H, 3) is h  # hit: now z is the least recently used
-    hilbert = get_curve(CurveKind.HILBERT, 3)  # over budget: z goes
-    info = get_curve.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
-    assert info.nbytes == table_bytes(h) + table_bytes(hilbert)
-    assert get_curve(CurveKind.H, 3) is h and get_curve(CurveKind.HILBERT, 3) is hilbert
-    assert get_curve(CurveKind.Z, 3) is not z  # rebuilt, and h is evicted for it
-    info = get_curve.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 4, 2)
-    assert get_curve(CurveKind.HILBERT, 3) is hilbert
-    assert get_curve(CurveKind.H, 3) is not h
-    get_curve.cache_clear()
-    assert get_curve.cache_info() == (0, 0, 0, 0)
-
-
-def test_get_curve_keeps_a_map_over_budget(monkeypatch):
-    monkeypatch.setattr(curves, "_CACHE_BYTES", 1)
-    get_curve.cache_clear()
-    big = get_curve(CurveKind.OPTR, 4)
-    assert get_curve(CurveKind.OPTR, 4) is big
-    assert get_curve.cache_info() == (1, 1, 1, table_bytes(big))
-    small = get_curve(CurveKind.SCAN, 1)  # the newest map stays; big goes
-    assert get_curve.cache_info() == (1, 2, 1, table_bytes(small))
-    assert get_curve(CurveKind.OPTR, 4) is not big
-    get_curve.cache_clear()
-
-
-def test_get_curve_is_thread_safe(monkeypatch):
-    # more threads than cores, switching often, under a budget that holds
-    # any three of the four maps: a lost update shows in the counts or bytes
-    keys = [(kind, order) for kind in (CurveKind.Z, CurveKind.SWEEP) for order in (2, 3)]
-    sizes = [table_bytes(build_curve(*key)) for key in keys]
-    monkeypatch.setattr(curves, "_CACHE_BYTES", sum(sizes) - 1)
-    get_curve.cache_clear()
-    calls = 200
-
-    def worker(seed):
-        for i in np.random.default_rng(seed).integers(0, len(keys), calls):
-            cm = get_curve(*keys[i])
-            assert (cm.kind, cm.order) == keys[i]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(8) as pool:
-            for future in [pool.submit(worker, seed) for seed in range(8)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    info = get_curve.cache_info()
-    get_curve.cache_clear()
-    assert info.hits + info.misses == 8 * calls
-    assert info.currsize == 3
-    assert info.nbytes in {sum(sizes) - size for size in sizes}
 
 
 def test_tables_are_readonly():
