@@ -22,7 +22,6 @@ from .curves import MAX_ORDER, CurveKind, build_curve
 from .equivariance import sweep_lemma, sweep_to_text, witnesses_to_csv
 from .imaging import (
     MixupParams,
-    RawFormatError,
     decode as decode_image,
     draw_mixup_lambdas,
     encode as encode_clip,
@@ -179,7 +178,7 @@ def decode_cmd(source: Path, out: Path):
     """Reconstruct a wav file from a .sfci image."""
     try:
         clip = decode_image(import_raw(source))
-    except (ValueError, OSError) as exc:  # RawFormatError, or a non-finite sample
+    except (ValueError, OSError) as exc:  # import_raw's RawFormatError is a ValueError
         click.echo(f"{source}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -234,7 +233,7 @@ def mixup_cmd(manifest: Path, alpha, seed, out: Path):
                 output=dest.name, curve=mixed.kind.name.lower(), order=mixed.order,
                 length=mixed.length, mixup_lambda=f"{lam:.17g}", status="ok",
             )
-        except (RawFormatError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # RawFormatError or mismatched images
             logger.error("pair %d: %s", j, exc)
             failed += 1
             row["status"] = "error"

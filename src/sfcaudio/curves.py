@@ -49,16 +49,23 @@ class CurveMap:
 
     ``xs[t]``/``ys[t]`` give the grid point visited at linear index t and
     ``perm[t] = ys[t] * n + xs[t]`` is its flat cell in a row-major n x n
-    grid; ``inverse[y, x]`` gives the linear index of a grid point. Arrays
-    are read-only, so a map can be shared freely across threads.
+    grid; ``inverse[y, x]`` gives the linear index of a grid point. Both
+    are derived from ``xs``/``ys`` on first use. Arrays are read-only.
     """
 
     kind: CurveKind
     order: int
     xs: np.ndarray
     ys: np.ndarray
-    # intp, because numpy converts any other index dtype on every call
-    perm: np.ndarray
+
+    @functools.cached_property
+    def perm(self) -> np.ndarray:
+        """intp ``ys * n + xs``, built on first use (numpy converts other index dtypes per call)."""
+        perm = self.ys.astype(np.intp)
+        perm *= self.n
+        perm += self.xs
+        perm.flags.writeable = False
+        return perm
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -351,23 +358,20 @@ _BUILDERS = {
 
 
 def build_curve(kind: CurveKind, order: int) -> CurveMap:
-    """Construct the forward tables and the flat permutation for one curve.
+    """Construct the forward tables ``xs``/``ys`` for one curve.
 
     Deterministic: repeated builds return identical tables. Time and memory
-    are O(4^order). At the top order 13 the map holds 67M cells (0.81 GB:
-    uint16 ``xs``/``ys`` and intp ``perm``) and a build of any curve peaked
-    at 797-802 MiB resident (VmHWM of a fresh process) and took 0.4-1.5 s
-    on a 2-core x86-64 host with numpy 2.4. ``inverse`` is not built here.
+    are O(4^order). At the top order 13 the tables hold 67M cells each
+    (0.27 GB of uint16 together) and a build peaked at 498-509 MiB resident
+    (VmHWM of a fresh process, hilbert and optr) in 0.2-0.9 s on a 2-core
+    x86-64 host with numpy 2.4. ``perm`` and ``inverse`` are not built here.
     """
     kind = CurveKind(kind)
     order = _check_order(order)
     xs, ys = _BUILDERS[kind](order)
-    perm = ys.astype(np.intp)
-    perm *= 1 << order
-    perm += xs
-    for arr in (xs, ys, perm):
-        arr.flags.writeable = False
-    return CurveMap(kind=kind, order=order, xs=xs, ys=ys, perm=perm)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
+    return CurveMap(kind=kind, order=order, xs=xs, ys=ys)
 
 
 @functools.lru_cache(maxsize=16)

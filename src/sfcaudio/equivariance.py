@@ -10,10 +10,10 @@ layout makes block structure commute with such rotations. For curves
 that rotate or reflect their sub-blocks (Hilbert, and most others) it
 fails, and a seeded randomized search produces concrete witnesses.
 
-Equality is checked at tolerance zero for integer-valued inputs. Both
-pipeline arms perform the identical multiply-add sequence per output
-cell, so in practice real-valued inputs match bit-exactly as well; a
-relative 1e-9 tolerance is still applied to avoid overclaiming.
+A check holds only when the two arms are exactly equal, for integer and
+real inputs alike. No tolerance is needed: when the layout commutes with
+the shift, both arms apply the same weights to the same samples in the
+same block cells, through the same einsum, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 
 from .curves import CurveKind, get_curve
 from .imaging import SfcImage
-
-REL_TOLERANCE = 1e-9
 
 WITNESS_CSV_HEADER = "kind,k,l,d,seed,max_abs_difference,holds"
 
@@ -139,8 +137,17 @@ def strided_conv(image: SfcImage, kernel: Kernel) -> np.ndarray:
     return np.einsum("ibjc,bc->ij", blocks, kernel.weights)
 
 
-def _is_integer_valued(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a)) and np.all(a == np.round(a)))
+def _arm(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray, d: int) -> np.ndarray:
+    """One pipeline arm: rotate by d*4^l, fold, convolve, read back at order k-l."""
+    l = kernel.order
+    shifted = circular_shift(seq, d << (2 * l))  # d blocks of 4^l samples
+    return get_curve(kind, k - l).gather(strided_conv(fold(shifted, kind, k), kernel))
+
+
+def _witness(kind, k, l, d, seed, a_side, base) -> EquivarianceWitness:
+    """Arm A for shift d against the unshifted arm ``base`` rotated by d; holds iff equal."""
+    diff = float(np.max(np.abs(a_side - circular_shift(base, d))))
+    return EquivarianceWitness(kind, k, l, d, seed, diff, holds=diff == 0.0)
 
 
 def check_equivariance(
@@ -154,8 +161,8 @@ def check_equivariance(
     """Compare the two pipeline arms for one rotation multiplier d.
 
     Arm A rotates the input by d*4^l before fold/convolve/unfold; arm B
-    rotates the unshifted pipeline output by d. ``seed`` is carried into
-    the witness untouched so batch drivers can tie results to their draws.
+    rotates the unshifted pipeline output by d; the check holds only if
+    they are equal. ``seed`` is carried into the witness untouched.
     """
     kind = CurveKind(kind)
     seq = np.asarray(seq, dtype=np.float64)
@@ -165,23 +172,8 @@ def check_equivariance(
     out_len = 1 << (2 * (k - l))
     if not 0 <= d < out_len:
         raise ValueError(f"shift multiplier d={d} outside [0, {out_len})")
-
-    r = d << (2 * l)  # rotate the input by d blocks of 4^l samples
-    shifted = circular_shift(seq, r)
-    coarse = get_curve(kind, k - l)
-    a_side = coarse.gather(strided_conv(fold(shifted, kind, k), kernel))
-    base = coarse.gather(strided_conv(fold(seq, kind, k), kernel))
-    b_side = circular_shift(base, d)
-
-    diff = float(np.max(np.abs(a_side - b_side))) if out_len else 0.0
-    if _is_integer_valued(seq) and _is_integer_valued(kernel.weights):
-        tol = 0.0
-    else:
-        tol = REL_TOLERANCE * max(1.0, float(np.max(np.abs(base))))
-    return EquivarianceWitness(
-        kind=kind, k=k, l=l, d=d, seed=seed,
-        max_abs_difference=diff, holds=diff <= tol,
-    )
+    base = _arm(kind, k, kernel, seq, 0)
+    return _witness(kind, k, l, d, seed, _arm(kind, k, kernel, seq, d), base)
 
 
 def _draw_inputs(rng: np.random.Generator, k: int, l: int, real_valued: bool):
@@ -230,15 +222,16 @@ def sweep_lemma(
     idx = 0
     for k, l in pairs:
         checks = failures = 0
-        worst = None
-        first_failure = None
+        worst = first_failure = None
         for _ in range(trials):
             trial_seed = int(trial_seeds[idx])
             idx += 1
             rng = np.random.default_rng(trial_seed)
             seq, kernel = _draw_inputs(rng, k, l, real_valued)
+            base = _arm(kind, k, kernel, seq, 0)  # arm A at d = 0, arm B's input for every d
             for d in range(1 << (2 * (k - l))):
-                w = check_equivariance(kind, k, kernel, seq, d, seed=trial_seed)
+                a_side = base if d == 0 else _arm(kind, k, kernel, seq, d)
+                w = _witness(kind, k, l, d, trial_seed, a_side, base)
                 checks += 1
                 if not w.holds:
                     failures += 1

@@ -139,7 +139,7 @@ def export_raw(image: SfcImage, path) -> None:
 
 
 def import_raw(path) -> SfcImage:
-    """Parse a .sfci file back into an image, validating every header field."""
+    """Parse a .sfci file back into an image, validating the header and every sample."""
     data = Path(path).read_bytes()
     if len(data) < RAW_HEADER_SIZE:
         raise RawFormatError(f"header needs {RAW_HEADER_SIZE} bytes, file has {len(data)}", 0)
@@ -163,6 +163,9 @@ def import_raw(path) -> SfcImage:
     got = len(data) - RAW_HEADER_SIZE
     if got != expected:
         raise RawFormatError(f"payload of {expected} bytes expected, got {got}", RAW_HEADER_SIZE)
-    # float32 -> float64 is exact, so the payload is stored as it is
     seq = np.frombuffer(data, dtype="<f4", offset=RAW_HEADER_SIZE)
+    if not np.isfinite(seq).all():
+        i = int(np.flatnonzero(~np.isfinite(seq))[0])
+        raise RawFormatError(f"non-finite sample {seq[i]} at index {i}", RAW_HEADER_SIZE + 4 * i)
+    # float32 -> float64 is exact, so the payload is stored as it is
     return SfcImage(kind, order, length, seq)

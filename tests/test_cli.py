@@ -356,6 +356,22 @@ def test_mixup_length_mismatch_is_error_row(tmp_path, runner):
     assert rows[0]["status"] == "error" and "disagree" in rows[0]["error"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_mixup_non_finite_sfci_is_error_row(tmp_path, runner, value):
+    img_dir = encode_corpus(tmp_path, runner, count=2)
+    bad = import_raw(img_dir / "c1.sfci")
+    samples = bad.samples.copy()
+    samples[5] = value
+    export_raw(SfcImage(bad.kind, bad.order, bad.length, samples), img_dir / "c1.sfci")
+    out = tmp_path / "mix"
+    result = runner.invoke(main, ["mixup", str(img_dir / "manifest.csv"), "--out", str(out)])
+    assert result.exit_code == 1
+    rows = read_manifest(out / "manifest.csv")
+    assert len(rows) == 1 and rows[0]["status"] == "error"
+    assert "non-finite sample" in rows[0]["error"] and "index 5" in rows[0]["error"]
+    assert not list(out.glob("mix*.sfci"))
+
+
 # --- curve-table -----------------------------------------------------------------
 
 def test_curve_table_stdout(runner):

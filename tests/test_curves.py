@@ -406,11 +406,11 @@ def test_get_curve_caches():
 
 def test_tables_are_readonly():
     cm = build_curve(CurveKind.Z, 2)
-    assert "inverse" not in cm.__dict__  # built on first use
+    assert "perm" not in cm.__dict__ and "inverse" not in cm.__dict__  # built on first use
     for table in (cm.xs, cm.ys, cm.perm, cm.inverse):
         with pytest.raises(ValueError):
             table[0] = 1
-    assert "inverse" in cm.__dict__
+    assert "perm" in cm.__dict__ and "inverse" in cm.__dict__
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

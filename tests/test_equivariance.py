@@ -1,5 +1,7 @@
 """Fold/convolve/unfold pipeline and the shift-equivariance sweep."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sfcaudio.equivariance import (
     WITNESS_CSV_HEADER,
     EquivarianceWitness,
     Kernel,
+    _draw_inputs,
     check_equivariance,
     circular_shift,
     fold,
@@ -113,16 +116,20 @@ def test_strided_conv_requires_smaller_kernel():
 
 def test_check_matches_naive_pipeline():
     rng = np.random.default_rng(2)
-    for kind in (CurveKind.Z, CurveKind.HILBERT, CurveKind.DIAGONAL):
-        seq = rng.integers(-8, 9, 64).astype(np.float64)
-        weights = rng.integers(-8, 9, (2, 2)).astype(np.float64)
-        kernel = Kernel(order=1, weights=weights)
+    for real_valued, kind in itertools.product(
+        (False, True), (CurveKind.Z, CurveKind.HILBERT, CurveKind.DIAGONAL)
+    ):
+        seq, kernel = _draw_inputs(rng, 3, 1, real_valued)
+        weights = kernel.weights
         base = naive_pipeline(seq, kind, 3, weights, 0)
         for d in range(16):
             w = check_equivariance(kind, 3, kernel, seq, d)
             diff = float(np.max(np.abs(naive_pipeline(seq, kind, 3, weights, d) - np.roll(base, -d))))
-            assert w.max_abs_difference == diff
-            assert w.holds == (diff == 0.0)
+            if real_valued:  # the loop reference sums in another order than einsum
+                assert w.max_abs_difference == pytest.approx(diff, rel=1e-12, abs=1e-12)
+            else:
+                assert w.max_abs_difference == diff
+            assert w.holds == (diff == 0.0) == (w.max_abs_difference == 0.0)
 
 
 def test_z_holds_exhaustively_small_orders():
@@ -163,6 +170,16 @@ def test_hilbert_breaks_for_some_shift():
     assert failures, "expected at least one failing shift multiplier"
 
 
+def test_tiny_differences_are_failures():
+    """Equality is exact: a difference far below any float tolerance still fails."""
+    rng = np.random.default_rng(6)
+    seq = rng.uniform(-1, 1, 64) * 1e-12
+    kernel = Kernel(order=1, weights=rng.uniform(-1, 1, (2, 2)))
+    witnesses = [check_equivariance(CurveKind.HILBERT, 3, kernel, seq, d) for d in range(16)]
+    tiny = [w for w in witnesses if 0.0 < w.max_abs_difference < 1e-9]
+    assert tiny and not any(w.holds for w in tiny)
+
+
 def test_check_validation():
     kernel = Kernel(order=1, weights=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="kernel order"):
@@ -199,6 +216,27 @@ def test_sweep_hilbert_finds_failures():
     assert cell.failures > 0
     assert cell.first_failure is not None and not cell.first_failure.holds
     assert cell.max_abs_difference > 0
+
+
+@pytest.mark.parametrize("real_valued", [False, True])
+@pytest.mark.parametrize("kind", [CurveKind.Z, CurveKind.HILBERT, CurveKind.GRAY])
+@pytest.mark.parametrize("k,l", [(3, 1), (4, 2)])
+def test_sweep_matches_check_loop(kind, k, l, real_valued):
+    """The sweep's shared unshifted arm gives the verdicts of one check per (trial, d)."""
+    trials, seed = 3, 12
+    cell = sweep_lemma(kind, [k], [l], trials=trials, seed=seed, real_valued=real_valued).cells[0]
+    witnesses = []
+    for trial_seed in np.random.SeedSequence(seed).generate_state(trials):
+        seq, kernel = _draw_inputs(np.random.default_rng(int(trial_seed)), k, l, real_valued)
+        witnesses += [check_equivariance(kind, k, kernel, seq, d, seed=int(trial_seed))
+                      for d in range(1 << (2 * (k - l)))]
+    failures = [w for w in witnesses if not w.holds]
+    assert cell.checks == len(witnesses)
+    assert cell.failures == len(failures)
+    assert cell.first_failure == (failures[0] if failures else None)
+    # the first witness of greatest difference, as the sweep keeps it
+    assert cell.worst == max(witnesses, key=lambda w: w.max_abs_difference)
+    assert all(w.holds == (w.max_abs_difference == 0.0) for w in witnesses)
 
 
 def test_sweep_deterministic():

@@ -315,6 +315,17 @@ def _valid_raw_bytes(order=2):
         os.unlink(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_raw_rejects_non_finite_samples(tmp_path, value):
+    data = _valid_raw_bytes()
+    data[RAW_HEADER_SIZE + 4 * 9 : RAW_HEADER_SIZE + 4 * 10] = np.array([value], "<f4").tobytes()
+    path = tmp_path / "bad.sfci"
+    path.write_bytes(bytes(data))
+    with pytest.raises(RawFormatError, match=f"non-finite sample {np.float32(value)} at index 9") as info:
+        import_raw(path)
+    assert info.value.offset == RAW_HEADER_SIZE + 4 * 9
+
+
 @pytest.mark.parametrize("mutate,offset,match", [
     (lambda d: d[:6], 0, "header"),
     (lambda d: d[:0] + b"JUNK" + d[4:], 0, "magic"),
