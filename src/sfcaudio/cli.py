@@ -322,11 +322,18 @@ def verify_lemma_cmd(curves, k_range, l_range, trials, seed, real_valued, witnes
     Other curves are informational, witnesses of failure being the
     expected outcome there.
     """
-    kinds = [CurveKind.from_name(s) for s in curves.split(",") if s.strip()]
+    try:
+        kinds = [CurveKind.from_name(s) for s in curves.split(",") if s.strip()]
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     if not kinds:
         raise click.UsageError("no curves given")
     k_list = _parse_span(k_range, "k range")
     l_list = _parse_span(l_range, "l range")
+    if k_list[-1] > MAX_ORDER:
+        raise click.UsageError(f"bad k range {k_range!r}; k must be <= {MAX_ORDER}")
+    if l_list[0] < 1:
+        raise click.UsageError(f"bad l range {l_range!r}; l must be >= 1")
     if not any(l < k for k in k_list for l in l_list):
         raise click.UsageError("no (k, l) pair with l < k in the given ranges")
 

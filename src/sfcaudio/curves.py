@@ -70,11 +70,10 @@ class CurveMap:
     @functools.cached_property
     def inverse(self) -> np.ndarray:
         """uint32 ``inverse[y, x]``: the index visiting (x, y); built on first use."""
-        inverse = np.empty(self.size, dtype=np.uint32)
+        inverse = np.empty((self.n, self.n), dtype=np.uint32)
         for start in range(0, self.size, _INVERSE_BLOCK):
             stop = min(start + _INVERSE_BLOCK, self.size)
-            inverse[self.perm[start:stop]] = np.arange(start, stop, dtype=np.uint32)
-        inverse = inverse.reshape(self.n, self.n)
+            inverse[self.ys[start:stop], self.xs[start:stop]] = np.arange(start, stop, dtype=np.uint32)
         inverse.flags.writeable = False
         return inverse
 

@@ -14,6 +14,11 @@ A check holds only when the two arms are exactly equal, for integer and
 real inputs alike. No tolerance is needed: when the layout commutes with
 the shift, both arms apply the same weights to the same samples in the
 same block cells, through the same einsum, so they agree bit for bit.
+
+The arms for many shifts are computed together, in blocks of shifts: a
+block is one integer gather from the curve's inverse table, one einsum
+and one read-back gather, and its size is capped so that memory stays
+bounded at any order. A single check is a block of the shifts 0 and d.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import CurveKind, get_curve
 from .imaging import SfcImage
 
 WITNESS_CSV_HEADER = "kind,k,l,d,seed,max_abs_difference,holds"
+_SWEEP_BLOCK = 1 << 16  # pixel cells per block of pipeline arms
 
 
 @dataclass(frozen=True)
@@ -109,12 +116,16 @@ def circular_shift(seq: np.ndarray, r: int) -> np.ndarray:
     return np.roll(np.asarray(seq), -int(r))
 
 
-def fold(seq, kind: CurveKind, k: int) -> SfcImage:
-    """Lay a full-length sequence (exactly 4^k values) out on the curve."""
+def _check_full_length(seq, k: int) -> None:
     cells = 1 << (2 * k)
     if np.shape(seq) != (cells,):
         raise ValueError(f"sequence must have exactly {cells} values, got shape {np.shape(seq)}")
-    return SfcImage(kind, k, cells, seq)
+
+
+def fold(seq, kind: CurveKind, k: int) -> SfcImage:
+    """Lay a full-length sequence (exactly 4^k values) out on the curve."""
+    _check_full_length(seq, k)
+    return SfcImage(kind, k, 1 << (2 * k), seq)
 
 
 def unfold(image: SfcImage) -> np.ndarray:
@@ -131,23 +142,50 @@ def strided_conv(image: SfcImage, kernel: Kernel) -> np.ndarray:
     """
     if kernel.order >= image.order:
         raise ValueError(f"kernel order {kernel.order} must be < image order {image.order}")
+    return _conv(image.pixels, kernel)
+
+
+def _conv(pixels: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """:func:`strided_conv` of a stack ``(..., n, n)`` of grids, one einsum for all.
+
+    einsum loops in memory order; on a C-contiguous stack the stack axes
+    coalesce with the block-row axis, so each output cell sums in the same
+    order as for a single grid.
+    """
+    pixels = np.ascontiguousarray(pixels)
     b = kernel.side
-    m = image.n // b
-    blocks = image.pixels.reshape(m, b, m, b)
-    return np.einsum("ibjc,bc->ij", blocks, kernel.weights)
+    m = pixels.shape[-1] // b
+    blocks = pixels.reshape(*pixels.shape[:-2], m, b, m, b)
+    return np.einsum("...ibjc,bc->...ij", blocks, kernel.weights)
 
 
-def _arm(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray, d: int) -> np.ndarray:
-    """One pipeline arm: rotate by d*4^l, fold, convolve, read back at order k-l."""
+def _shift_differences(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray, shifts) -> np.ndarray:
+    """max |arm A - arm B| for each rotation multiplier in ``shifts``; ``shifts[0]`` must be 0.
+
+    Arm A for shift d rotates ``seq`` by d*4^l, folds it at order k,
+    convolves and reads back at order k-l, so pixel cell c holds
+    ``seq[(inverse_k[c] + d*4^l) mod 4^k]``: one integer gather per block
+    of shifts. Arm B rotates the arm of ``shifts[0] = 0`` by d. Arms run
+    in blocks of at most ``_SWEEP_BLOCK`` pixel cells, at least one shift
+    each, which bounds memory at any order.
+    """
     l = kernel.order
-    shifted = circular_shift(seq, d << (2 * l))  # d blocks of 4^l samples
-    return get_curve(kind, k - l).gather(strided_conv(fold(shifted, kind, k), kernel))
-
-
-def _witness(kind, k, l, d, seed, a_side, base) -> EquivarianceWitness:
-    """Arm A for shift d against the unshifted arm ``base`` rotated by d; holds iff equal."""
-    diff = float(np.max(np.abs(a_side - circular_shift(base, d))))
-    return EquivarianceWitness(kind, k, l, d, seed, diff, holds=diff == 0.0)
+    n = 1 << k
+    inverse = get_curve(kind, k).inverse.reshape(-1).astype(np.intp)  # take runs 1.5x faster on intp
+    coarse = get_curve(kind, k - l).perm
+    shifts = np.asarray(shifts, dtype=np.intp)
+    rotations = sliding_window_view(np.concatenate([seq, seq]), n * n)  # row r: seq rotated by r
+    step = max(1, _SWEEP_BLOCK // (n * n))
+    diffs = np.empty(shifts.size)
+    base = None
+    for start in range(0, shifts.size, step):
+        ds = shifts[start:start + step]
+        pixels = np.take(rotations[ds << (2 * l)], inverse, axis=1)
+        arms = _conv(pixels.reshape(ds.size, n, n), kernel).reshape(ds.size, -1)[:, coarse]
+        if base is None:  # the unshifted pipeline output, rotated by r in row r
+            base = sliding_window_view(np.concatenate([arms[0], arms[0]]), coarse.size)
+        diffs[start:start + step] = np.abs(arms - base[ds]).max(axis=1)
+    return diffs
 
 
 def check_equivariance(
@@ -172,8 +210,14 @@ def check_equivariance(
     out_len = 1 << (2 * (k - l))
     if not 0 <= d < out_len:
         raise ValueError(f"shift multiplier d={d} outside [0, {out_len})")
-    base = _arm(kind, k, kernel, seq, 0)
-    return _witness(kind, k, l, d, seed, _arm(kind, k, kernel, seq, d), base)
+    _check_full_length(seq, k)
+    return _witness(kind, k, l, d, seed, _shift_differences(kind, k, kernel, seq, [0, d])[1])
+
+
+def _witness(kind, k, l, d, seed, diff) -> EquivarianceWitness:
+    """The witness for shift d whose arms differ by at most ``diff``; holds iff that is 0."""
+    diff = float(diff)
+    return EquivarianceWitness(kind, k, l, int(d), seed, diff, holds=diff == 0.0)
 
 
 def _draw_inputs(rng: np.random.Generator, k: int, l: int, real_valued: bool):
@@ -209,8 +253,10 @@ def sweep_lemma(
 
     Every trial draws a fresh sequence and kernel from a per-trial seed
     derived from the master seed, then checks every rotation multiplier
-    d. Aggregates counts plus the worst and first-failing witnesses per
-    (k, l); any witness can be replayed from its recorded seed.
+    d, computing the pipeline arms in blocks of shifts. Aggregates counts
+    plus the worst (the first of greatest difference) and first-failing
+    witnesses per (k, l); any witness can be replayed from its recorded
+    seed.
     """
     kind = CurveKind(kind)
     pairs = [(int(k), int(l)) for k in k_range for l in l_range if int(l) < int(k)]
@@ -228,17 +274,15 @@ def sweep_lemma(
             idx += 1
             rng = np.random.default_rng(trial_seed)
             seq, kernel = _draw_inputs(rng, k, l, real_valued)
-            base = _arm(kind, k, kernel, seq, 0)  # arm A at d = 0, arm B's input for every d
-            for d in range(1 << (2 * (k - l))):
-                a_side = base if d == 0 else _arm(kind, k, kernel, seq, d)
-                w = _witness(kind, k, l, d, trial_seed, a_side, base)
-                checks += 1
-                if not w.holds:
-                    failures += 1
-                    if first_failure is None:
-                        first_failure = w
-                if worst is None or w.max_abs_difference > worst.max_abs_difference:
-                    worst = w
+            diffs = _shift_differences(kind, k, kernel, seq, np.arange(1 << (2 * (k - l))))
+            failed = np.flatnonzero(diffs)
+            checks += diffs.size
+            failures += failed.size
+            if first_failure is None and failed.size:
+                first_failure = _witness(kind, k, l, failed[0], trial_seed, diffs[failed[0]])
+            top = diffs.argmax()  # the trial's first d of greatest difference
+            if worst is None or diffs[top] > worst.max_abs_difference:
+                worst = _witness(kind, k, l, top, trial_seed, diffs[top])
         cells.append(LemmaCell(
             k=k, l=l, checks=checks, failures=failures,
             max_abs_difference=worst.max_abs_difference,

@@ -515,6 +515,10 @@ def test_verify_lemma_usage_errors(runner):
     assert runner.invoke(main, [
         "verify-lemma", "--k-range", "2:2", "--l-range", "2:3",
     ]).exit_code == 2
+    for args in (["--curves", "z,bogus"], ["--k-range", "14:14"], ["--l-range", "0:1"]):
+        result = runner.invoke(main, ["verify-lemma", *args])
+        assert result.exit_code == 2, all_output(result)
+        assert result.output.startswith("Usage:")  # no sweep output before the error
 
 
 # --- helpers ---------------------------------------------------------------------

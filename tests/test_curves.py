@@ -420,6 +420,7 @@ def test_blockwise_inverse_matches_one_shot(kind, monkeypatch):
     want = np.empty((cm.n, cm.n), dtype=np.uint32)
     want[cm.ys, cm.xs] = np.arange(cm.size, dtype=np.uint32)
     inverse = cm.inverse
+    assert "perm" not in cm.__dict__  # filled straight from the tables
     assert inverse.dtype == np.uint32 and inverse.shape == (cm.n, cm.n)
     assert np.array_equal(inverse, want)
     assert not inverse.flags.writeable

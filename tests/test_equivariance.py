@@ -1,10 +1,12 @@
 """Fold/convolve/unfold pipeline and the shift-equivariance sweep."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sfcaudio import equivariance
 from sfcaudio.curves import CurveKind, get_curve, index_to_point
 from sfcaudio.equivariance import (
     WITNESS_CSV_HEADER,
@@ -221,10 +223,13 @@ def test_sweep_hilbert_finds_failures():
 @pytest.mark.parametrize("real_valued", [False, True])
 @pytest.mark.parametrize("kind", [CurveKind.Z, CurveKind.HILBERT, CurveKind.GRAY])
 @pytest.mark.parametrize("k,l", [(3, 1), (4, 2)])
-def test_sweep_matches_check_loop(kind, k, l, real_valued):
-    """The sweep's shared unshifted arm gives the verdicts of one check per (trial, d)."""
+def test_sweep_matches_check_loop(kind, k, l, real_valued, monkeypatch):
+    """The blocked sweep gives the verdicts of one check per (trial, d), at any block size."""
     trials, seed = 3, 12
-    cell = sweep_lemma(kind, [k], [l], trials=trials, seed=seed, real_valued=real_valued).cells[0]
+    sweep = sweep_lemma(kind, [k], [l], trials=trials, seed=seed, real_valued=real_valued)
+    monkeypatch.setattr(equivariance, "_SWEEP_BLOCK", 1)  # every shift is its own block
+    assert sweep_lemma(kind, [k], [l], trials=trials, seed=seed, real_valued=real_valued) == sweep
+    cell = sweep.cells[0]
     witnesses = []
     for trial_seed in np.random.SeedSequence(seed).generate_state(trials):
         seq, kernel = _draw_inputs(np.random.default_rng(int(trial_seed)), k, l, real_valued)
@@ -237,6 +242,19 @@ def test_sweep_matches_check_loop(kind, k, l, real_valued):
     # the first witness of greatest difference, as the sweep keeps it
     assert cell.worst == max(witnesses, key=lambda w: w.max_abs_difference)
     assert all(w.holds == (w.max_abs_difference == 0.0) for w in witnesses)
+
+
+def test_sweep_memory_is_bounded_by_the_block():
+    """One trial at k=7, l=1 runs 4096 arms of 16384 cells; blocks keep it to a few MiB."""
+    get_curve(CurveKind.Z, 7).inverse, get_curve(CurveKind.Z, 6).perm  # tables outside the trace
+    tracemalloc.start()
+    try:
+        sweep = sweep_lemma(CurveKind.Z, [7], [1], trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep.all_hold and sweep.total_checks == 4096
+    assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"  # one unblocked batch is 512 MiB
 
 
 def test_sweep_deterministic():
