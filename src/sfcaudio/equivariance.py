@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .curves import CurveKind, get_curve
 from .imaging import SfcImage
@@ -174,18 +174,25 @@ def _shift_differences(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray,
     inverse = get_curve(kind, k).inverse.reshape(-1).astype(np.intp)  # take runs 1.5x faster on intp
     coarse = get_curve(kind, k - l).perm
     shifts = np.asarray(shifts, dtype=np.intp)
-    rotations = sliding_window_view(np.concatenate([seq, seq]), n * n)  # row r: seq rotated by r
+    rotated_seq = _rotations(seq, 1 << (2 * l))
     step = max(1, _SWEEP_BLOCK // (n * n))
     diffs = np.empty(shifts.size)
-    base = None
+    rotated_base = None
     for start in range(0, shifts.size, step):
         ds = shifts[start:start + step]
-        pixels = np.take(rotations[ds << (2 * l)], inverse, axis=1)
+        pixels = np.take(rotated_seq[ds], inverse, axis=1)
         arms = _conv(pixels.reshape(ds.size, n, n), kernel).reshape(ds.size, -1)[:, coarse]
-        if base is None:  # the unshifted pipeline output, rotated by r in row r
-            base = sliding_window_view(np.concatenate([arms[0], arms[0]]), coarse.size)
-        diffs[start:start + step] = np.abs(arms - base[ds]).max(axis=1)
+        if rotated_base is None:  # arms[0] is the unshifted pipeline output
+            rotated_base = _rotations(arms[0], 1)
+        diffs[start:start + step] = np.abs(arms - rotated_base[ds]).max(axis=1)
     return diffs
+
+
+def _rotations(seq: np.ndarray, step: int) -> np.ndarray:
+    """Read-only view whose row d is ``circular_shift(seq, d * step)``, for d < len / step."""
+    doubled = np.concatenate([seq, seq])
+    item = doubled.strides[0]
+    return as_strided(doubled, (seq.size // step, seq.size), (item * step, item), writeable=False)
 
 
 def check_equivariance(
