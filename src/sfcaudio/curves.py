@@ -4,7 +4,7 @@ Eight curve families are supported, each realized as an exact bijection
 between linear indices [0, 4^k) and grid points. Tables are built eagerly
 so index/point lookups are plain array reads. This module alone knows how
 an index maps to a pixel: image grids are built with
-:meth:`CurveMap.scatter` and read back with :meth:`CurveMap.gather`.
+:meth:`CurveMap.scatter`.
 
 Coordinates follow image conventions: ``x`` is the column, ``y`` is the
 row, origin at the top-left corner.
@@ -90,10 +90,6 @@ class CurveMap:
         grid = np.zeros(self.size, dtype=np.float64)
         grid[self.perm[: len(seq)]] = seq
         return grid.reshape(self.n, self.n)
-
-    def gather(self, grid: np.ndarray) -> np.ndarray:
-        """The cells of an n x n ``grid`` in curve order."""
-        return grid.reshape(-1)[self.perm]
 
     @property
     def n(self) -> int:

@@ -126,16 +126,17 @@ def export_pgm(image: SfcImage, path) -> None:
     scaled = np.rint((image.pixels + 1.0) / 2.0 * 65535.0)
     gray = np.clip(scaled, 0, 65535).astype(">u2")
     header = f"P5\n{image.n} {image.n}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + gray.tobytes())
+    with open(path, "wb") as fh:
+        fh.writelines((header, gray.data))
 
 
 def export_raw(image: SfcImage, path) -> None:
     """Lossless .sfci file: 12-byte header, then float32 samples in curve order."""
-    seq = image.samples.astype("<f4")
     header = RAW_HEADER.pack(
         RAW_MAGIC, RAW_VERSION, int(image.kind), image.order, 0, image.length
     )
-    Path(path).write_bytes(header + seq.tobytes())
+    with open(path, "wb") as fh:  # two writes, no joined copy of the payload
+        fh.writelines((header, image.samples.astype("<f4").data))
 
 
 def import_raw(path) -> SfcImage:

@@ -109,7 +109,7 @@ def load_wav(path) -> AudioClip:
     specific :class:`WavError` subclass; a NaN or infinite float sample
     raises :class:`WavEncodingError` naming its index.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())  # chunk bodies are views, not copies
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
@@ -156,7 +156,7 @@ def load_wav(path) -> AudioClip:
     if audio_format == 1 and bits == 16:
         if len(payload) % 2:
             raise WavTruncatedError(f"{path}: PCM16 data length {len(payload)} is odd")
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        samples = np.frombuffer(payload, dtype="<i2") / 32768.0  # one float64 array, exact
     elif audio_format == 3 and bits == 32:
         if len(payload) % 4:
             raise WavTruncatedError(f"{path}: float32 data length {len(payload)} not a multiple of 4")
@@ -174,17 +174,20 @@ def load_wav(path) -> AudioClip:
 
 def save_wav(clip: AudioClip, path) -> None:
     """Write 16-bit PCM, rounding half away from zero and clamping to int16."""
+    # In place, equal to where(v >= 0, floor(v + 0.5), ceil(v - 0.5)) then clip: v >= +0
+    # has v + 0.5 > 0, so floor is trunc; v < 0 gets v + (-0.5), the IEEE v - 0.5, whose
+    # ceil is trunc; -0.0 gives 0 both ways; trunc (the int16 cast) commutes with the clamp.
     v = clip.samples * 32768.0
-    q = np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5))
-    q = np.clip(q, -32768, 32767).astype("<i2")
-    body = q.tobytes()
+    v += np.copysign(0.5, v)
+    q = np.clip(v, -32768.0, 32767.0, out=v).astype("<i2")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(body), b"WAVE",
+        b"RIFF", 36 + q.nbytes, b"WAVE",
         b"fmt ", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16,
-        b"data", len(body),
+        b"data", q.nbytes,
     )
-    Path(path).write_bytes(header + body)
+    with open(path, "wb") as fh:
+        fh.writelines((header, q.data))  # two writes, no joined copy of the payload
 
 
 def translate(samples: np.ndarray, offset: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from sfcaudio import curves
 from sfcaudio.curves import CurveKind, get_curve
 from sfcaudio.imaging import (
+    RAW_HEADER,
     RAW_HEADER_SIZE,
     RAW_MAGIC,
     MixupParams,
@@ -263,6 +264,36 @@ def test_pgm_value_mapping(tmp_path):
     assert gray[0, 1] == 65535
     assert gray[1, 0] == 65535
     assert gray[1, 1] == 32768  # midpoint of an even-sized range rounds up
+
+
+# --- writers ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("order", range(1, 7))
+def test_writers_match_a_joined_write(tmp_path, kind, order):
+    a, b = (make_image(kind, order, length=4**order - 1, seed=s)[0] for s in (order, order + 9))
+    image = mixup(a, b, MixupParams(), lam=0.3)[0]  # real values in the float32 payload
+    export_raw(image, tmp_path / "i.sfci")
+    export_pgm(image, tmp_path / "i.pgm")
+    raw = RAW_HEADER.pack(RAW_MAGIC, 1, int(kind), order, 0, image.length)
+    raw += image.samples.astype("<f4").tobytes()
+    gray = np.clip(np.rint((image.pixels + 1.0) / 2.0 * 65535.0), 0, 65535).astype(">u2")
+    pgm = f"P5\n{image.n} {image.n}\n65535\n".encode("ascii") + gray.tobytes()
+    assert (tmp_path / "i.sfci").read_bytes() == raw
+    assert (tmp_path / "i.pgm").read_bytes() == pgm
+
+
+def test_export_raw_memory_is_bounded_by_the_payload(tmp_path):
+    image = encode(AudioClip(np.random.default_rng(4).uniform(-1, 1, 1 << 20)), CurveKind.Z, 10)
+    payload = 4 * image.samples.size
+    tracemalloc.start()
+    try:
+        export_raw(image, tmp_path / "m.sfci")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 payload once; tobytes() and a joined header + payload took 3x
+    assert peak < 1.5 * payload, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- raw export / import ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Clip loading, quantization, centering, and random shifting."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,73 @@ def test_exact_roundtrip_on_pcm_grid(tmp_path, pcm16_grid_rng):
     path = tmp_path / "g.wav"
     save_wav(AudioClip(samples), path)
     assert np.array_equal(load_wav(path).samples, samples)
+
+
+def reference_wav_bytes(clip):
+    """The whole file as the earlier quantiser and single joined write made it."""
+    v = clip.samples * 32768.0
+    q = np.where(v >= 0, np.floor(v + 0.5), np.ceil(v - 0.5))
+    body = np.clip(q, -32768, 32767).astype("<i2").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(body), b"WAVE",
+        b"fmt ", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16,
+        b"data", len(body),
+    )
+    return header + body
+
+
+def quantiser_edge_cases():
+    k = np.array([0, 1, 2, 3, 100, 1000, 16383, 32766, 32767, 32768], dtype=np.float64)
+    ties = np.concatenate([(k + 0.5) / 32768.0, -(k + 0.5) / 32768.0])
+    near = np.concatenate([np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+                        32767.5 / 32768, -32767.5 / 32768, 32768.5 / 32768, -32768.5 / 32768,
+                        1.0000001, -1.0000001, 1.5, -1.5, 7.0, -7.0, 1e300, -1e300])
+    return np.concatenate([ties, near, special])
+
+
+@pytest.mark.parametrize("case", ["edges", "uniform"])
+def test_save_matches_reference_quantiser_byte_for_byte(tmp_path, case):
+    if case == "edges":
+        samples = quantiser_edge_cases()
+    else:
+        samples = np.random.default_rng(11).uniform(-1.2, 1.2, size=10**6)
+    clip = AudioClip(samples)
+    path = tmp_path / "q.wav"
+    save_wav(clip, path)
+    assert path.read_bytes() == reference_wav_bytes(clip)
+
+
+def test_save_memory_is_bounded_by_the_clip(tmp_path):
+    clip = AudioClip(np.random.default_rng(5).uniform(-1.0, 1.0, size=1 << 20))
+    tracemalloc.start()
+    try:
+        save_wav(clip, tmp_path / "m.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scaled copy and one sign temporary; a where() quantiser and a joined write took 4x
+    assert peak < 2.5 * clip.samples.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("fmt, dtype, ext", [
+    (1, "<i2", False), (3, "<f4", False), (1, "<i2", True), (3, "<f4", True),
+])
+def test_load_values_match_a_copying_reader(wav_factory, fmt, dtype, ext):
+    rng = np.random.default_rng(fmt)
+    if dtype == "<i2":
+        payload = rng.integers(-32768, 32768, size=4099).astype(dtype).tobytes()
+        want = np.frombuffer(bytes(payload), dtype=dtype).astype(np.float64) / 32768.0
+    else:
+        payload = rng.uniform(-1.0, 1.0, size=4099).astype(dtype).tobytes()
+        want = np.frombuffer(bytes(payload), dtype=dtype).astype(np.float64)
+    bits = 8 * np.dtype(dtype).itemsize
+    kwargs = {"sub_format": fmt} if ext else {"audio_format": fmt}
+    clip = load_wav(wav_factory(bits=bits, payload=payload, **kwargs))
+    assert clip.samples.dtype == np.float64
+    assert np.array_equal(clip.samples, want)
+    assert np.signbit(clip.samples).tolist() == np.signbit(want).tolist()
 
 
 # --- clip type ------------------------------------------------------------------
