@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -370,6 +371,58 @@ def test_mixup_non_finite_sfci_is_error_row(tmp_path, runner, value):
     assert len(rows) == 1 and rows[0]["status"] == "error"
     assert "non-finite sample" in rows[0]["error"] and "index 5" in rows[0]["error"]
     assert not list(out.glob("mix*.sfci"))
+
+
+# --- byte pin of the batch commands ----------------------------------------------
+
+def tree_digest(root, tmp_path):
+    """One SHA-256 over every file under root; tmp_path is masked in manifests."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.csv":
+            data = data.replace(str(tmp_path).encode(), b"<tmp>")
+        h.update(f"{path.relative_to(root).as_posix()}\0{hashlib.sha256(data).hexdigest()}\n".encode())
+    return h.hexdigest()
+
+
+PINNED_TREES = {
+    "sfci": "f849e5b17ee298f409430c17e550ccb664d1c24124c9428239917258b5d33da6",
+    "pgm": "783bb3b58033dccc444eb46fa6410eb1db3228d409b6295a7b975b6b852ccc69",
+    "mix": "c10589bbeaadbba9dd6d7218fdb7a9cf2834a197a992f89fea497ab92a9af625",
+}
+
+
+def test_encode_and_mixup_outputs_are_pinned(tmp_path, runner):
+    """Manifests, images and summaries of a seeded run, with centering, shifts and a bad file."""
+    src = tmp_path / "src"
+    rng = np.random.default_rng(12)
+    for i, name in enumerate(("a.wav", "sub/b.wav", "sub/c.wav", "d.wav", "e.wav")):
+        samples = np.zeros(600)
+        samples[40 * i : 40 * i + 150] = rng.integers(-20000, 20000, 150) / 32768.0
+        (src / name).parent.mkdir(parents=True, exist_ok=True)
+        save_wav(AudioClip(samples), src / name)
+    (src / "sub" / "bad.wav").write_bytes(b"RIFF junk")
+    stdout = {}
+    for fmt in ("sfci", "pgm"):
+        result = runner.invoke(main, [
+            "encode", str(src), "--curve", "hilbert", "--order", "5", "--format", fmt,
+            "--center", "100", "25", "0.0001", "--shift", "-1", "7", "--out", str(tmp_path / fmt),
+        ])
+        assert result.exit_code == 1, all_output(result)
+        stdout[fmt] = result.stdout.replace(str(tmp_path), "<tmp>")
+    result = runner.invoke(main, [
+        "mixup", str(tmp_path / "sfci" / "manifest.csv"), "--alpha", "0.4", "--seed", "3",
+        "--out", str(tmp_path / "mix"),
+    ])
+    assert result.exit_code == 0, all_output(result)
+    stdout["mix"] = result.stdout.replace(str(tmp_path), "<tmp>")
+    assert stdout == {
+        "sfci": "converted 5/6 file(s) -> <tmp>/sfci\n",
+        "pgm": "converted 5/6 file(s) -> <tmp>/pgm\n",
+        "mix": "mixed 2/2 pair(s) -> <tmp>/mix\n",
+    }
+    assert {name: tree_digest(tmp_path / name, tmp_path) for name in PINNED_TREES} == PINNED_TREES
 
 
 # --- curve-table -----------------------------------------------------------------
