@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import logging
 import os
 import sys
@@ -31,7 +32,7 @@ from .imaging import (
     mixup as mix_images,
 )
 from .locality import compare_curves, reports_to_csv, reports_to_text
-from .signal import CenterParams, ShiftParams, WavError, center, load_wav, random_shift, save_wav
+from .signal import CenterParams, ShiftParams, center, load_wav, random_shift, save_wav
 
 EXIT_INPUT = 1
 EXIT_VERIFY = 3
@@ -51,8 +52,8 @@ logger = logging.getLogger("sfcaudio")
 _CURVE_NAMES = [k.name.lower() for k in CurveKind]
 
 
-def _parse_span(text: str, what: str) -> list[int]:
-    # "2:4" -> [2, 3, 4]; "3" -> [3]
+def _parse_span(text: str, what: str, least: int | None = None, most: int | None = None) -> list[int]:
+    # "2:4" -> [2, 3, 4]; "3" -> [3]; values outside [least, most] are usage errors
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
@@ -63,18 +64,59 @@ def _parse_span(text: str, what: str) -> list[int]:
         raise click.UsageError(f"bad {what} {text!r}; expected N or LO:HI") from None
     if hi < lo:
         raise click.UsageError(f"bad {what} {text!r}; upper bound below lower")
+    if least is not None and lo < least:
+        raise click.UsageError(f"bad {what} {text!r}; values must be >= {least}")
+    if most is not None and hi > most:
+        raise click.UsageError(f"bad {what} {text!r}; values must be <= {most}")
     return list(range(lo, hi + 1))
 
 
-def _blank_row() -> dict:
-    return {f: "" for f in MANIFEST_FIELDS}
+def _params(build):
+    """A click callback that turns an option value into ``build(value)``.
+
+    A ValueError from ``build`` becomes a usage error, so a bad value exits
+    2 before any file is touched. An unset option stays None.
+    """
+
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else build(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+
+    return callback
 
 
-def _write_manifest(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
+    """Run each ``(label, job)`` of a batch, write its image, record a manifest row.
+
+    ``job(row)`` fills its fields of a blank row and returns ``(image,
+    dest)``; the image is written as .sfci or, for any other suffix, .pgm.
+    A ValueError (WavError and RawFormatError are ones) or an OSError makes
+    the item an error row and the exit status 1, and the batch goes on.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for label, job in jobs:
+        row = dict.fromkeys(MANIFEST_FIELDS, "")
+        try:
+            image, dest = job(row)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            (export_raw if dest.suffix == ".sfci" else export_pgm)(image, dest)
+            row.update(output=os.path.relpath(dest, out), status="ok")
+        except (ValueError, OSError) as exc:
+            logger.error("%s: %s", label, exc)
+            row.update(status="error", error=str(exc))
+        rows.append(row)
+    with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
+    failed = sum(row["status"] != "ok" for row in rows)
+    click.echo(f"{verb} {len(rows) - failed}/{len(rows)} {noun} -> {out}")
+    if failed:
+        click.echo(f"{failed} {noun} failed; see manifest.csv error rows", err=True)
+        sys.exit(EXIT_INPUT)
 
 
 @click.group()
@@ -92,17 +134,18 @@ def main():
 @click.option("--curve", type=click.Choice(_CURVE_NAMES), default="z", show_default=True)
 @click.option("--order", type=click.IntRange(1, MAX_ORDER), default=7, show_default=True)
 @click.option(
-    "--center", "center_args", nargs=3, type=float, default=None, metavar="W SIGMA TH",
+    "--center", "cparams", type=(int, float, float), default=None, metavar="W SIGMA TH",
+    callback=_params(lambda args: CenterParams(*args)),
     help="Center the active span before encoding (typical: 100 25 0.0001).",
 )
 @click.option(
-    "--shift", "shift_args", nargs=2, type=int, default=None, metavar="MAX SEED",
+    "--shift", "shift_args", type=(int, click.IntRange(min=0)), default=None, metavar="MAX SEED",
     help="Random time shift drawn from [-MAX, +MAX] after centering, seeded "
     "per file from SEED. MAX < 0 means a quarter of the clip length.",
 )
 @click.option("--format", "fmt", type=click.Choice(["sfci", "pgm"]), default="sfci", show_default=True)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
-def encode_cmd(source: Path, curve, order, center_args, shift_args, fmt, out: Path):
+def encode_cmd(source: Path, curve, order, cparams, shift_args, fmt, out: Path):
     """Convert a wav file or a directory tree of wav files to images.
 
     Writes one image per input plus manifest.csv describing every row
@@ -119,56 +162,25 @@ def encode_cmd(source: Path, curve, order, center_args, shift_args, fmt, out: Pa
     if not inputs:
         click.echo(f"no .wav files under {source}", err=True)
         sys.exit(EXIT_INPUT)
-    out.mkdir(parents=True, exist_ok=True)
 
-    cparams = None
-    if center_args is not None:
-        cparams = CenterParams(w=int(center_args[0]), sigma=center_args[1], th=center_args[2])
+    def convert(index, path, row):
+        row.update(input=os.path.relpath(path, out), curve=kind.name.lower(), order=order)
+        clip = load_wav(path)
+        row["length"] = clip.length
+        if cparams is not None:
+            clip = center(clip, cparams)
+            row.update(center_w=cparams.w, center_sigma=f"{cparams.sigma:g}", center_th=f"{cparams.th:g}")
+        if shift_args is not None:
+            max_shift, master_seed = shift_args
+            if max_shift < 0:
+                max_shift = clip.length // 4
+            file_seed = int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
+            clip = random_shift(clip, ShiftParams(max_shift=max_shift, rng_seed=file_seed))
+            row.update(shift_max=max_shift, shift_seed=file_seed)
+        return encode_clip(clip, kind, order), out / Path(os.path.relpath(path, root)).with_suffix("." + fmt)
 
-    def convert(index, path):
-        row = _blank_row()
-        row["input"] = os.path.relpath(path, out)
-        row["curve"] = kind.name.lower()
-        row["order"] = order
-        try:
-            clip = load_wav(path)
-            row["length"] = clip.length
-            if cparams is not None:
-                clip = center(clip, cparams)
-                row["center_w"] = cparams.w
-                row["center_sigma"] = f"{cparams.sigma:g}"
-                row["center_th"] = f"{cparams.th:g}"
-            if shift_args is not None:
-                max_shift, master_seed = shift_args
-                if max_shift < 0:
-                    max_shift = clip.length // 4
-                file_seed = int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
-                clip = random_shift(clip, ShiftParams(max_shift=max_shift, rng_seed=file_seed))
-                row["shift_max"] = max_shift
-                row["shift_seed"] = file_seed
-            image = encode_clip(clip, kind, order)
-            dest = out / Path(os.path.relpath(path, root)).with_suffix("." + fmt)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            if fmt == "sfci":
-                export_raw(image, dest)
-            else:
-                export_pgm(image, dest)
-            row["output"] = os.path.relpath(dest, out)
-            row["status"] = "ok"
-        except (WavError, ValueError, OSError) as exc:
-            logger.error("%s: %s", path, exc)
-            row["status"] = "error"
-            row["error"] = str(exc)
-        return row
-
-    rows = [convert(index, path) for index, path in enumerate(inputs)]
-
-    _write_manifest(out / "manifest.csv", rows)
-    failed = sum(1 for r in rows if r["status"] != "ok")
-    click.echo(f"converted {len(rows) - failed}/{len(rows)} file(s) -> {out}")
-    if failed:
-        click.echo(f"{failed} file(s) failed; see manifest.csv error rows", err=True)
-        sys.exit(EXIT_INPUT)
+    jobs = ((path, functools.partial(convert, index, path)) for index, path in enumerate(inputs))
+    _run_batch(out, jobs, "converted", "file(s)")
 
 
 @main.command("decode")
@@ -188,10 +200,11 @@ def decode_cmd(source: Path, out: Path):
 
 @main.command("mixup")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--alpha", type=float, default=0.2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--alpha", "params", type=float, default=0.2, show_default=True,
+              callback=_params(lambda alpha: MixupParams(alpha=alpha)))
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
-def mixup_cmd(manifest: Path, alpha, seed, out: Path):
+def mixup_cmd(manifest: Path, params, seed, out: Path):
     """Blend random pairs from an encode manifest into new .sfci images.
 
     Pairing and weights are drawn from SEED; each output row records the
@@ -207,43 +220,22 @@ def mixup_cmd(manifest: Path, alpha, seed, out: Path):
 
     perm = np.random.default_rng(seed).permutation(len(usable))
     pair_count = len(usable) // 2
-    lams = draw_mixup_lambdas(alpha, seed, pair_count)
+    # every weight comes from SEED and is passed to mix_images, so params.rng_seed is not read
+    lams = draw_mixup_lambdas(params.alpha, seed, pair_count)
     if len(usable) % 2:
         logger.info("odd row count; leaving one file unmixed")
-    out.mkdir(parents=True, exist_ok=True)
 
-    out_rows = []
-    failed = 0
-    for j in range(pair_count):
-        row_a = usable[perm[2 * j]]
-        row_b = usable[perm[2 * j + 1]]
-        row = _blank_row()
-        path_a = base / row_a["output"]
-        path_b = base / row_b["output"]
-        row["input"] = os.path.relpath(path_a, out)
-        row["mixup_partner"] = os.path.relpath(path_b, out)
-        try:
-            mixed, lam = mix_images(
-                import_raw(path_a), import_raw(path_b),
-                MixupParams(alpha=alpha, rng_seed=seed), lam=float(lams[j]),
-            )
-            dest = out / f"mix{j:04d}_{path_a.stem}__{path_b.stem}.sfci"
-            export_raw(mixed, dest)
-            row.update(
-                output=dest.name, curve=mixed.kind.name.lower(), order=mixed.order,
-                length=mixed.length, mixup_lambda=f"{lam:.17g}", status="ok",
-            )
-        except (ValueError, OSError) as exc:  # RawFormatError or mismatched images
-            logger.error("pair %d: %s", j, exc)
-            failed += 1
-            row["status"] = "error"
-            row["error"] = str(exc)
-        out_rows.append(row)
+    def blend(j, row):
+        path_a = base / usable[perm[2 * j]]["output"]
+        path_b = base / usable[perm[2 * j + 1]]["output"]
+        row.update(input=os.path.relpath(path_a, out), mixup_partner=os.path.relpath(path_b, out))
+        mixed, lam = mix_images(import_raw(path_a), import_raw(path_b), params, lam=float(lams[j]))
+        row.update(curve=mixed.kind.name.lower(), order=mixed.order, length=mixed.length,
+                   mixup_lambda=f"{lam:.17g}")
+        return mixed, out / f"mix{j:04d}_{path_a.stem}__{path_b.stem}.sfci"
 
-    _write_manifest(out / "manifest.csv", out_rows)
-    click.echo(f"mixed {pair_count - failed}/{pair_count} pair(s) -> {out}")
-    if failed:
-        sys.exit(EXIT_INPUT)
+    jobs = ((f"pair {j}", functools.partial(blend, j)) for j in range(pair_count))
+    _run_batch(out, jobs, "mixed", "pair(s)")
 
 
 @main.command("curve-table")
@@ -311,7 +303,7 @@ def locality_cmd(order, gaps, fmt, out):
 @click.option("--k-range", default="2:4", show_default=True, metavar="LO:HI")
 @click.option("--l-range", default="1:2", show_default=True, metavar="LO:HI")
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--real", "real_valued", is_flag=True, help="draw real-valued inputs instead of integers")
 @click.option("--witness-out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="write the worst witness per (curve, k, l) as CSV")
@@ -328,12 +320,8 @@ def verify_lemma_cmd(curves, k_range, l_range, trials, seed, real_valued, witnes
         raise click.UsageError(str(exc)) from None
     if not kinds:
         raise click.UsageError("no curves given")
-    k_list = _parse_span(k_range, "k range")
-    l_list = _parse_span(l_range, "l range")
-    if k_list[-1] > MAX_ORDER:
-        raise click.UsageError(f"bad k range {k_range!r}; k must be <= {MAX_ORDER}")
-    if l_list[0] < 1:
-        raise click.UsageError(f"bad l range {l_range!r}; l must be >= 1")
+    k_list = _parse_span(k_range, "k range", most=MAX_ORDER)
+    l_list = _parse_span(l_range, "l range", least=1)
     if not any(l < k for k in k_list for l in l_list):
         raise click.UsageError("no (k, l) pair with l < k in the given ranges")
 

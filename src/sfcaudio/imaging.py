@@ -9,6 +9,7 @@ Images serialize as 16-bit PGM (lossy) or ".sfci" (lossless, curve order).
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,8 +83,8 @@ class MixupParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
@@ -117,14 +118,19 @@ def mixup(a: SfcImage, b: SfcImage, params: MixupParams, lam: float | None = Non
     if lam is None:
         lam = draw_mixup_lambdas(params.alpha, params.rng_seed)[0]
     lam = float(lam)
+    if not 0.0 <= lam <= 1.0:  # NaN fails too
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
     mixed = lam * a.samples + (1.0 - lam) * b.samples
     return SfcImage(a.kind, a.order, a.length, mixed), lam
 
 
 def export_pgm(image: SfcImage, path) -> None:
     """16-bit binary graymap; [-1, 1] maps linearly onto [0, 65535]."""
-    scaled = np.rint((image.pixels + 1.0) / 2.0 * 65535.0)
-    gray = np.clip(scaled, 0, 65535).astype(">u2")
+    scaled = image.pixels + 1.0  # the one float64 copy; the steps below run in place
+    scaled /= 2.0
+    scaled *= 65535.0
+    np.rint(scaled, out=scaled)
+    gray = np.clip(scaled, 0, 65535, out=scaled).astype(">u2")
     header = f"P5\n{image.n} {image.n}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.writelines((header, gray.data))

@@ -9,6 +9,7 @@ around.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_SAMPLE_RATE = 16000
+_QUANT_BLOCK = 1 << 16  # samples scaled and rounded per step by save_wav
 
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes 4..15 shared by every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0..3 hold
@@ -83,10 +85,10 @@ class CenterParams:
     def __post_init__(self):
         if self.w <= 0:
             raise ValueError("window size w must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.th < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (self.th >= 0 and math.isfinite(self.th)):
+            raise ValueError(f"threshold must be nonnegative and finite, got {self.th}")
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,12 @@ def save_wav(clip: AudioClip, path) -> None:
     # In place, equal to where(v >= 0, floor(v + 0.5), ceil(v - 0.5)) then clip: v >= +0
     # has v + 0.5 > 0, so floor is trunc; v < 0 gets v + (-0.5), the IEEE v - 0.5, whose
     # ceil is trunc; -0.0 gives 0 both ways; trunc (the int16 cast) commutes with the clamp.
-    v = clip.samples * 32768.0
-    v += np.copysign(0.5, v)
-    q = np.clip(v, -32768.0, 32767.0, out=v).astype("<i2")
+    # Block by block, so the float64 temporaries stay small beside the int16 output.
+    q = np.empty(clip.length, dtype="<i2")
+    for start in range(0, clip.length, _QUANT_BLOCK):
+        v = clip.samples[start : start + _QUANT_BLOCK] * 32768.0
+        v += np.copysign(0.5, v)
+        q[start : start + _QUANT_BLOCK] = np.clip(v, -32768.0, 32767.0, out=v)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + q.nbytes, b"WAVE",

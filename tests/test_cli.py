@@ -373,6 +373,51 @@ def test_mixup_non_finite_sfci_is_error_row(tmp_path, runner, value):
     assert not list(out.glob("mix*.sfci"))
 
 
+def test_mixup_write_failure_is_error_row(tmp_path, runner, monkeypatch):
+    img_dir = encode_corpus(tmp_path, runner, count=4)
+
+    def refuse(image, path):
+        raise OSError(f"cannot write {path.name}")
+
+    monkeypatch.setattr(cli, "export_raw", refuse)
+    out = tmp_path / "mix"
+    result = runner.invoke(main, ["mixup", str(img_dir / "manifest.csv"), "--out", str(out)])
+    assert result.exit_code == 1
+    rows = read_manifest(out / "manifest.csv")
+    assert len(rows) == 2
+    for j, row in enumerate(rows):
+        assert row["status"] == "error" and row["output"] == ""
+        assert row["error"].startswith(f"cannot write mix{j:04d}_")
+        assert row["input"] and row["mixup_partner"]
+    assert not list(out.glob("mix*.sfci"))
+
+
+# --- bad option values -----------------------------------------------------------
+
+BAD_OPTION_VALUES = [
+    ["encode", "{wav}", "--center", "100", "nan", "nan"],
+    ["encode", "{wav}", "--center", "0", "25", "0.0001"],
+    ["encode", "{wav}", "--center", "100.5", "25", "0.0001"],
+    ["encode", "{wav}", "--shift", "5", "-1"],
+    ["mixup", "{manifest}", "--alpha", "nan"],
+    ["mixup", "{manifest}", "--alpha", "inf"],
+    ["mixup", "{manifest}", "--alpha", "0"],
+    ["mixup", "{manifest}", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("args", BAD_OPTION_VALUES, ids=" ".join)
+def test_bad_option_values_are_usage_errors(tmp_path, runner, args):
+    img_dir = encode_corpus(tmp_path, runner, count=2)
+    out = tmp_path / "out"
+    fields = {"wav": str(tmp_path / "src" / "c0.wav"), "manifest": str(img_dir / "manifest.csv")}
+    result = runner.invoke(main, [a.format(**fields) for a in args] + ["--out", str(out)])
+    assert result.exit_code == 2, all_output(result)
+    assert isinstance(result.exception, SystemExit)  # click's usage exit, not a crash
+    assert result.output.startswith("Usage:") and "Traceback" not in result.output
+    assert not out.exists()
+
+
 # --- byte pin of the batch commands ----------------------------------------------
 
 def tree_digest(root, tmp_path):
@@ -568,7 +613,7 @@ def test_verify_lemma_usage_errors(runner):
     assert runner.invoke(main, [
         "verify-lemma", "--k-range", "2:2", "--l-range", "2:3",
     ]).exit_code == 2
-    for args in (["--curves", "z,bogus"], ["--k-range", "14:14"], ["--l-range", "0:1"]):
+    for args in (["--curves", "z,bogus"], ["--k-range", "14:14"], ["--l-range", "0:1"], ["--seed", "-1"]):
         result = runner.invoke(main, ["verify-lemma", *args])
         assert result.exit_code == 2, all_output(result)
         assert result.output.startswith("Usage:")  # no sweep output before the error
@@ -584,3 +629,7 @@ def test_parse_span():
         _parse_span("4:2", "k")
     with pytest.raises(click.UsageError):
         _parse_span("a:b", "k")
+    assert _parse_span("1:13", "k", least=1, most=13) == list(range(1, 14))
+    for text, bounds in (("0:2", dict(least=1)), ("12:14", dict(most=13)), ("5", dict(least=6, most=9))):
+        with pytest.raises(click.UsageError):
+            _parse_span(text, "k", **bounds)

@@ -228,8 +228,17 @@ def test_mixup_rejects_mismatched_inputs():
 
 
 def test_mixup_params_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        MixupParams(alpha=0.0)
+    for alpha in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            MixupParams(alpha=alpha)
+
+
+@pytest.mark.parametrize("lam", [np.nan, -0.25, 1.5, np.inf])
+def test_mixup_rejects_a_weight_outside_the_unit_interval(lam):
+    a, _ = make_image(seed=1)
+    b, _ = make_image(seed=2)
+    with pytest.raises(ValueError, match="lam"):
+        mixup(a, b, MixupParams(), lam=lam)
 
 
 def test_draw_mixup_lambdas_batch():
@@ -281,6 +290,21 @@ def test_writers_match_a_joined_write(tmp_path, kind, order):
     pgm = f"P5\n{image.n} {image.n}\n65535\n".encode("ascii") + gray.tobytes()
     assert (tmp_path / "i.sfci").read_bytes() == raw
     assert (tmp_path / "i.pgm").read_bytes() == pgm
+
+
+def test_export_pgm_memory_is_bounded_by_the_grid(tmp_path):
+    image = encode(AudioClip(np.random.default_rng(6).uniform(-1.1, 1.1, 1 << 20)), CurveKind.HILBERT, 10)
+    grid = image.pixels.nbytes  # scattered outside the trace
+    tracemalloc.start()
+    try:
+        export_pgm(image, tmp_path / "m.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 copy and the uint16 output; two grid-sized temporaries took 2.25x
+    assert peak < 1.5 * grid, f"peak {peak / 2**20:.1f} MiB"
+    gray = np.clip(np.rint((image.pixels + 1.0) / 2.0 * 65535.0), 0, 65535).astype(">u2")
+    assert (tmp_path / "m.pgm").read_bytes() == b"P5\n1024 1024\n65535\n" + gray.tobytes()
 
 
 def test_export_raw_memory_is_bounded_by_the_payload(tmp_path):

@@ -220,8 +220,8 @@ def test_save_memory_is_bounded_by_the_clip(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the scaled copy and one sign temporary; a where() quantiser and a joined write took 4x
-    assert peak < 2.5 * clip.samples.nbytes, f"peak {peak / 2**20:.1f} MiB"
+    # the int16 output and block-sized temporaries; a whole-clip scaled copy took 2x
+    assert peak < 0.5 * clip.samples.nbytes + (2 << 20), f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("fmt, dtype, ext", [
@@ -405,7 +405,8 @@ def test_center_window_longer_than_clip_rejected():
 
 
 def test_center_params_validation():
-    for kwargs in (dict(w=0), dict(sigma=0), dict(th=-1e-9)):
+    for kwargs in (dict(w=0), dict(sigma=0), dict(th=-1e-9), dict(sigma=np.nan), dict(sigma=np.inf),
+                   dict(th=np.nan), dict(th=np.inf)):
         with pytest.raises(ValueError):
             CenterParams(**kwargs)
 
