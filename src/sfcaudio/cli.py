@@ -105,8 +105,9 @@ def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
             (export_raw if dest.suffix == ".sfci" else export_pgm)(image, dest)
             row.update(output=os.path.relpath(dest, out), status="ok")
         except (ValueError, OSError) as exc:
-            logger.error("%s: %s", label, exc)
-            row.update(status="error", error=str(exc))
+            message = str(exc)  # a WavError message already starts with the file's path
+            logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
+            row.update(status="error", error=message)
         rows.append(row)
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
@@ -116,6 +117,16 @@ def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
     click.echo(f"{verb} {len(rows) - failed}/{len(rows)} {noun} -> {out}")
     if failed:
         click.echo(f"{failed} {noun} failed; see manifest.csv error rows", err=True)
+        sys.exit(EXIT_INPUT)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised inside the block into ``path: message`` on stderr and exit 1."""
+    try:
+        yield
+    except OSError as exc:
+        click.echo(f"{path}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
 
@@ -193,8 +204,9 @@ def decode_cmd(source: Path, out: Path):
     except (ValueError, OSError) as exc:  # import_raw's RawFormatError is a ValueError
         click.echo(f"{source}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_wav(clip, out)
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        save_wav(clip, out)
     click.echo(f"wrote {out} ({clip.length} samples)")
 
 
@@ -245,7 +257,8 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
 def curve_table_cmd(curve, order, out):
     """Dump the index -> (x, y) mapping of one curve as CSV."""
     cm = build_curve(CurveKind.from_name(curve), order)
-    with open(out, "wb") if out else contextlib.nullcontext(click.get_binary_stream("stdout")) as target:
+    with _writing(out or "stdout"), (open(out, "wb") if out else
+                                    contextlib.nullcontext(click.get_binary_stream("stdout"))) as target:
         target.write(b"t,x,y\n")
         for start in range(0, cm.size, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, cm.size)
@@ -293,7 +306,8 @@ def locality_cmd(order, gaps, fmt, out):
         sys.exit(EXIT_INPUT)
     text = reports_to_csv(reports) if fmt == "csv" else reports_to_text(reports)
     if out:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
 
@@ -335,7 +349,8 @@ def verify_lemma_cmd(curves, k_range, l_range, trials, seed, real_valued, witnes
             z_failed = True
 
     if witness_out:
-        Path(witness_out).write_text(witnesses_to_csv(worst_witnesses))
+        with _writing(witness_out):
+            Path(witness_out).write_text(witnesses_to_csv(worst_witnesses))
     if CurveKind.Z in kinds:
         if z_failed:
             click.echo("z-curve equivariance FAILED", err=True)

@@ -47,11 +47,35 @@ class SfcImage:
     samples: np.ndarray
 
     def __post_init__(self):
-        kind = CurveKind(self.kind)
+        seq = np.asarray(self.samples)
+        samples = np.zeros(self._check(seq), dtype=np.float64)
+        samples[: seq.size] = seq  # the one owned copy; callers cannot alias it
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
+    @classmethod
+    def _own(cls, kind: CurveKind, order: int, length: int, samples: np.ndarray) -> SfcImage:
+        """An image over exactly 4^order float64 values the package has just built.
+
+        Checked like a public construction, then frozen, not copied or padded;
+        the caller must keep no writeable view of ``samples``.
+        """
+        image = object.__new__(cls)
+        for name, value in (("kind", kind), ("order", order), ("length", length)):
+            object.__setattr__(image, name, value)
+        if samples.size != image._check(samples) or samples.dtype != np.float64:
+            raise ValueError(f"expected {1 << (2 * order)} float64 samples, got "
+                             f"{samples.size} of {samples.dtype}")
+        samples.flags.writeable = False
+        object.__setattr__(image, "samples", samples)
+        return image
+
+    def _check(self, seq: np.ndarray) -> int:
+        """Check the fields against a 1-D sequence ``seq``, store ``kind`` as a CurveKind; returns 4^order."""
+        object.__setattr__(self, "kind", CurveKind(self.kind))
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
         cells = 1 << (2 * self.order)
-        seq = np.asarray(self.samples)
         if seq.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {seq.shape}")
         if seq.size > cells:
@@ -59,11 +83,7 @@ class SfcImage:
                              f"at order {self.order}")
         if not 0 <= self.length <= cells:
             raise ValueError(f"length {self.length} outside [0, {cells}]")
-        samples = np.zeros(cells, dtype=np.float64)
-        samples[: seq.size] = seq  # the one owned copy; callers cannot alias it
-        samples.flags.writeable = False
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "samples", samples)
+        return cells
 
     @functools.cached_property
     def pixels(self) -> np.ndarray:
@@ -93,8 +113,12 @@ def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
 
 
 def decode(image: SfcImage, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-    """The image's samples without the padding."""
-    return AudioClip(image.samples[: image.length], sample_rate)
+    """The image's samples without the padding.
+
+    The clip's samples are a read-only view of the image's samples, not a
+    copy, so the clip keeps the image's whole 4^k buffer alive.
+    """
+    return AudioClip._own(image.samples[: image.length], sample_rate)
 
 
 def draw_mixup_lambdas(alpha: float, rng_seed: int, count: int = 1) -> np.ndarray:
@@ -120,8 +144,9 @@ def mixup(a: SfcImage, b: SfcImage, params: MixupParams, lam: float | None = Non
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:  # NaN fails too
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    mixed = lam * a.samples + (1.0 - lam) * b.samples
-    return SfcImage(a.kind, a.order, a.length, mixed), lam
+    mixed = a.samples * lam  # lam*a + (1-lam)*b, the same IEEE operations, one temporary
+    mixed += b.samples * (1.0 - lam)
+    return SfcImage._own(a.kind, a.order, a.length, mixed), lam
 
 
 def export_pgm(image: SfcImage, path) -> None:
@@ -174,5 +199,5 @@ def import_raw(path) -> SfcImage:
     if not np.isfinite(seq).all():
         i = int(np.flatnonzero(~np.isfinite(seq))[0])
         raise RawFormatError(f"non-finite sample {seq[i]} at index {i}", RAW_HEADER_SIZE + 4 * i)
-    # float32 -> float64 is exact, so the payload is stored as it is
-    return SfcImage(kind, order, length, seq)
+    # float32 -> float64 is exact, and the payload already fills all 4^k cells
+    return SfcImage._own(kind, order, length, seq.astype(np.float64))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_SAMPLE_RATE = 16000
-_QUANT_BLOCK = 1 << 16  # samples scaled and rounded per step by save_wav
+_BLOCK = 1 << 16  # samples per step of save_wav's quantiser and of the finite scan
 
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes 4..15 shared by every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0..3 hold
@@ -49,6 +49,15 @@ class WavEncodingError(WavError):
     """Codec other than 16-bit PCM or 32-bit float, or a non-finite float sample."""
 
 
+def _first_non_finite(samples: np.ndarray) -> int | None:
+    """Index of the first NaN or infinite sample, or None; scanned in blocks, so no full-size mask."""
+    for start in range(0, samples.shape[0], _BLOCK):
+        finite = np.isfinite(samples[start : start + _BLOCK])
+        if not finite.all():
+            return start + int(np.argmin(finite))
+    return None
+
+
 @dataclass(frozen=True)
 class AudioClip:
     """Mono waveform. ``samples`` is an immutable vector of finite float64 values."""
@@ -57,17 +66,31 @@ class AudioClip:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
+        self._adopt(np.array(self.samples, dtype=np.float64), self.sample_rate)
+
+    @classmethod
+    def _own(cls, samples: np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
+        """A clip over a float64 array the package has just built: checked and frozen, not copied.
+
+        The caller must keep no writeable view of ``samples``.
+        """
+        if samples.dtype != np.float64:
+            raise ValueError(f"expected float64 samples, got {samples.dtype}")
+        clip = object.__new__(cls)
+        clip._adopt(samples, sample_rate)
+        return clip
+
+    def _adopt(self, samples: np.ndarray, sample_rate) -> None:
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if not np.isfinite(samples).all():
-            bad = np.flatnonzero(~np.isfinite(samples))[0]
+        bad = _first_non_finite(samples)
+        if bad is not None:
             raise ValueError(f"non-finite sample {samples[bad]} at index {bad}")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
+        if int(sample_rate) <= 0:
+            raise ValueError(f"sample rate must be positive, got {sample_rate}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "sample_rate", int(sample_rate))
 
     @property
     def length(self) -> int:
@@ -169,7 +192,7 @@ def load_wav(path) -> AudioClip:
             "only 16-bit PCM and 32-bit float are accepted"
         )
     try:
-        return AudioClip(samples, rate)
+        return AudioClip._own(samples, rate)
     except ValueError as exc:  # the one check AudioClip can fail here: a non-finite sample
         raise WavEncodingError(f"{path}: {exc}") from None
 
@@ -181,10 +204,10 @@ def save_wav(clip: AudioClip, path) -> None:
     # ceil is trunc; -0.0 gives 0 both ways; trunc (the int16 cast) commutes with the clamp.
     # Block by block, so the float64 temporaries stay small beside the int16 output.
     q = np.empty(clip.length, dtype="<i2")
-    for start in range(0, clip.length, _QUANT_BLOCK):
-        v = clip.samples[start : start + _QUANT_BLOCK] * 32768.0
+    for start in range(0, clip.length, _BLOCK):
+        v = clip.samples[start : start + _BLOCK] * 32768.0
         v += np.copysign(0.5, v)
-        q[start : start + _QUANT_BLOCK] = np.clip(v, -32768.0, 32767.0, out=v)
+        q[start : start + _BLOCK] = np.clip(v, -32768.0, 32767.0, out=v)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + q.nbytes, b"WAVE",
@@ -257,7 +280,7 @@ def center(clip: AudioClip, params: CenterParams | None = None) -> AudioClip:
     offset = round(n / 2 - (span_start + span_end) / 2)
     if offset == 0:
         return clip
-    return AudioClip(translate(clip.samples, offset), clip.sample_rate)
+    return AudioClip._own(translate(clip.samples, offset), clip.sample_rate)
 
 
 def random_shift(clip: AudioClip, params: ShiftParams) -> AudioClip:
@@ -274,4 +297,4 @@ def random_shift(clip: AudioClip, params: ShiftParams) -> AudioClip:
         return clip
     rng = np.random.default_rng(params.rng_seed)
     offset = int(rng.integers(-params.max_shift, params.max_shift + 1))
-    return AudioClip(translate(clip.samples, offset), clip.sample_rate)
+    return AudioClip._own(translate(clip.samples, offset), clip.sample_rate)
