@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -390,6 +391,50 @@ def test_mixup_write_failure_is_error_row(tmp_path, runner, monkeypatch):
         assert row["error"].startswith(f"cannot write mix{j:04d}_")
         assert row["input"] and row["mixup_partner"]
     assert not list(out.glob("mix*.sfci"))
+
+
+def test_failing_item_logs_its_label_once(tmp_path, runner, caplog):
+    src = tmp_path / "src"
+    write_clip(src / "a.wav", length=100)
+    write_clip(src / "b.wav", length=101)
+    (src / "bad.wav").write_bytes(b"junk")
+    img_dir = tmp_path / "img"
+    with caplog.at_level(logging.ERROR, logger="sfcaudio"):
+        assert runner.invoke(main, ["encode", str(src), "--order", "4", "--out", str(img_dir)]).exit_code == 1
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line == f"{src / 'bad.wav'}: not a RIFF/WAVE file"
+        assert line.count(str(src / "bad.wav")) == 1
+        row = [r for r in read_manifest(img_dir / "manifest.csv") if r["status"] == "error"][0]
+        assert row["error"] == line  # the manifest text is unchanged
+        caplog.clear()
+        result = runner.invoke(main, ["mixup", str(img_dir / "manifest.csv"), "--out", str(tmp_path / "mix")])
+        assert result.exit_code == 1
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.startswith("pair 0: mixup inputs disagree")
+
+
+# --- unwritable output paths ---------------------------------------------------------
+
+UNWRITABLE_OUTPUTS = [
+    ["decode", "{sfci}", "--out", "{out}.wav"],
+    ["curve-table", "--curve", "z", "--order", "2", "--out", "{out}.csv"],
+    ["locality", "--order", "2", "--gaps", "1,4", "--out", "{out}.txt"],
+    ["verify-lemma", "--k-range", "2", "--l-range", "1", "--trials", "1", "--witness-out", "{out}.csv"],
+]
+
+
+@pytest.mark.parametrize("args", UNWRITABLE_OUTPUTS, ids=lambda args: args[0])
+def test_unwritable_output_exits_cleanly(tmp_path, runner, args):
+    img_dir = encode_corpus(tmp_path, runner, count=1)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")  # a regular file where a directory is needed
+    fields = {"sfci": str(img_dir / "c0.sfci"), "out": str(blocker / "sub" / "o")}
+    argv = [a.format(**fields) for a in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1, all_output(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in all_output(result)
+    assert f"{argv[-1]}: " in result.stderr
 
 
 # --- bad option values -----------------------------------------------------------

@@ -22,7 +22,7 @@ from sfcaudio.imaging import (
     import_raw,
     mixup,
 )
-from sfcaudio.signal import AudioClip
+from sfcaudio.signal import AudioClip, load_wav, save_wav
 
 ALL_KINDS = list(CurveKind)
 
@@ -87,6 +87,29 @@ def test_full_grid_roundtrip():
     assert np.array_equal(back.samples, samples)
 
 
+def test_decode_is_a_frozen_view_of_the_image():
+    image = encode(AudioClip(np.random.default_rng(9).uniform(-1, 1, 1 << 20)), CurveKind.Z, 10)
+    tracemalloc.start()
+    try:
+        clip = decode(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # block-sized scan masks only; a copy of the samples took 8 MiB
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert np.shares_memory(clip.samples, image.samples)
+    assert not clip.samples.flags.writeable and not image.samples.flags.writeable
+
+
+@pytest.mark.parametrize("length", [0, 256])
+def test_file_roundtrip_of_an_empty_and_a_full_clip(tmp_path, pcm16_grid_rng, length):
+    samples = pcm16_grid_rng(np.random.default_rng(length), length)
+    export_raw(encode(AudioClip(samples), CurveKind.HILBERT, 4), tmp_path / "c.sfci")
+    save_wav(decode(import_raw(tmp_path / "c.sfci")), tmp_path / "c.wav")
+    back = load_wav(tmp_path / "c.wav")
+    assert back.length == length and np.array_equal(back.samples, samples)
+
+
 # --- image type -----------------------------------------------------------------
 
 def test_image_validation():
@@ -122,6 +145,28 @@ def test_image_order_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_private_constructors_check_and_freeze_without_copying():
+    full = np.zeros(16)
+    image = SfcImage._own(CurveKind.Z, 2, 5, full)
+    assert image.samples is full and not full.flags.writeable and image.kind is CurveKind.Z
+    for kind, order, length, seq in [
+        (CurveKind.Z, 2, 5, np.zeros(15)),                    # not padded to 4^k
+        (CurveKind.Z, 2, 5, np.zeros(16, dtype=np.float32)),
+        (CurveKind.Z, 2, 17, np.zeros(16)),
+        (CurveKind.Z, 0, 0, np.zeros(1)),
+        (99, 2, 0, np.zeros(16)),
+    ]:
+        with pytest.raises(ValueError):
+            SfcImage._own(kind, order, length, seq)
+    arr = np.arange(4.0)
+    clip = AudioClip._own(arr, 8000)
+    assert clip.samples is arr and not arr.flags.writeable and clip.sample_rate == 8000
+    for seq, rate in [(np.array([0.0, np.nan]), 16000), (np.zeros(4, dtype=np.float32), 16000),
+                      (np.zeros((2, 2)), 16000), (np.zeros(4), 0)]:
+        with pytest.raises(ValueError):
+            AudioClip._own(seq, rate)
 
 
 def test_image_owns_a_zero_padded_copy_of_short_samples():
@@ -181,6 +226,16 @@ def test_mixup_explicit_lambda_is_linear():
     assert lam == 0.25
     assert np.array_equal(mixed.pixels, 0.25 * a.pixels + 0.75 * b.pixels)
     assert (mixed.kind, mixed.order, mixed.length) == (a.kind, a.order, a.length)
+
+
+def test_mixup_bytes_match_the_formula():
+    a, _ = make_image(seed=5)
+    b, _ = make_image(seed=6)
+    for lam in [0.0, 1.0, 0.5, 1 / 3, *np.random.default_rng(7).uniform(0, 1, 20)]:
+        mixed, _ = mixup(a, b, MixupParams(), lam=lam)
+        want = lam * a.samples + (1 - lam) * b.samples
+        assert mixed.samples.tobytes() == want.tobytes()
+        assert not mixed.samples.flags.writeable
 
 
 def test_mixup_endpoint_lambdas():

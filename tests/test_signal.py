@@ -261,6 +261,58 @@ def test_clip_samples_immutable():
     clip = AudioClip(np.zeros(4))
     with pytest.raises(ValueError):
         clip.samples[0] = 1.0
+    # the public constructor copies: changing the caller's array leaves the clip alone
+    arr = np.arange(4.0)
+    clip = AudioClip(arr)
+    arr[0] = 9.0
+    assert clip.samples[0] == 0.0 and not np.shares_memory(clip.samples, arr)
+
+
+def test_load_memory_is_one_float64_array(tmp_path):
+    n = 1 << 20
+    path = tmp_path / "m.wav"
+    save_wav(AudioClip(np.random.default_rng(6).uniform(-1.0, 1.0, size=n)), path)
+    tracemalloc.start()
+    try:
+        clip = load_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, the scaled float64 samples and block-sized scan masks; a copy into
+    # the clip took one more float64 array
+    limit = path.stat().st_size + n * 8 + (1 << 20)
+    assert clip.length == n and peak < limit, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_loaded_clip_is_read_only(wav_factory, fmt):
+    values = np.random.default_rng(8).uniform(-0.5, 0.5, size=4000)
+    if fmt == "pcm16":
+        path = wav_factory(payload=np.round(values * 32768).astype("<i2").tobytes())
+    else:
+        path = wav_factory(audio_format=3, bits=32, payload=values.astype("<f4").tobytes())
+    clip = load_wav(path)
+    with pytest.raises(ValueError):
+        clip.samples[0] = 1.0
+
+
+@pytest.mark.parametrize("step", ["center", "random_shift"])
+def test_translated_clip_is_frozen_not_copied(monkeypatch, step):
+    made = []
+
+    def recording_translate(samples, offset):
+        made.append(translate(samples, offset))
+        return made[-1]
+
+    monkeypatch.setattr("sfcaudio.signal.translate", recording_translate)
+    s = np.zeros(4000)
+    s[100:200] = 0.5
+    if step == "center":
+        out = center(AudioClip(s))
+    else:
+        out = random_shift(AudioClip(s), ShiftParams(max_shift=1000, rng_seed=3))
+    assert len(made) == 1 and np.shares_memory(out.samples, made[0])
+    assert not out.samples.flags.writeable and not made[0].flags.writeable
 
 
 # --- translation -----------------------------------------------------------------
