@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .curves import MAX_ORDER, CurveKind, get_curve
-from .signal import DEFAULT_SAMPLE_RATE, AudioClip
+from .signal import _BLOCK, DEFAULT_SAMPLE_RATE, AudioClip, _check_finite, _first_non_finite
 
 RAW_MAGIC = b"SFCI"
 RAW_VERSION = 1
@@ -33,12 +33,29 @@ class RawFormatError(ValueError):
         self.offset = offset
 
 
+def _check_fields(kind, order: int, length: int, seq: np.ndarray) -> tuple[CurveKind, int]:
+    """Check an image's fields against the 1-D sequence ``seq``; returns the curve and 4^order."""
+    kind = CurveKind(kind)
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    cells = 1 << (2 * order)
+    if seq.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {seq.shape}")
+    if seq.size > cells:
+        raise ValueError(f"sequence of {seq.size} values exceeds {cells} cells at order {order}")
+    if not 0 <= length <= cells:
+        raise ValueError(f"length {length} outside [0, {cells}]")
+    return kind, cells
+
+
 @dataclass(frozen=True)
 class SfcImage:
     """A clip laid out on a 2^k x 2^k grid, plus the metadata needed to invert it.
 
-    ``samples`` holds 4^k values in curve order, zero-padded past the first
-    ``length``; ``pixels[y, x]`` holds the sample whose curve index maps to (x, y).
+    ``samples`` holds 4^k finite values in curve order, zero-padded past the
+    first ``length``; ``pixels[y, x]`` holds the sample whose curve index maps
+    to (x, y). The constructor copies and checks what it is given; a NaN or
+    infinite value raises ValueError naming its index.
     """
 
     kind: CurveKind
@@ -48,42 +65,31 @@ class SfcImage:
 
     def __post_init__(self):
         seq = np.asarray(self.samples)
-        samples = np.zeros(self._check(seq), dtype=np.float64)
+        kind, cells = _check_fields(self.kind, self.order, self.length, seq)
+        samples = np.zeros(cells, dtype=np.float64)
         samples[: seq.size] = seq  # the one owned copy; callers cannot alias it
+        _check_finite(samples)
         samples.flags.writeable = False
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "samples", samples)
 
     @classmethod
     def _own(cls, kind: CurveKind, order: int, length: int, samples: np.ndarray) -> SfcImage:
-        """An image over exactly 4^order float64 values the package has just built.
+        """An image over exactly 4^order finite float64 values the package has just built.
 
-        Checked like a public construction, then frozen, not copied or padded;
-        the caller must keep no writeable view of ``samples``.
+        The fields are checked like a public construction; the samples are
+        frozen, not copied, padded or scanned. The caller must keep no
+        writeable view of ``samples``.
         """
-        image = object.__new__(cls)
-        for name, value in (("kind", kind), ("order", order), ("length", length)):
-            object.__setattr__(image, name, value)
-        if samples.size != image._check(samples) or samples.dtype != np.float64:
-            raise ValueError(f"expected {1 << (2 * order)} float64 samples, got "
+        kind, cells = _check_fields(kind, order, length, samples)
+        if samples.size != cells or samples.dtype != np.float64:
+            raise ValueError(f"expected {cells} float64 samples, got "
                              f"{samples.size} of {samples.dtype}")
         samples.flags.writeable = False
-        object.__setattr__(image, "samples", samples)
+        image = object.__new__(cls)
+        for name, value in (("kind", kind), ("order", order), ("length", length), ("samples", samples)):
+            object.__setattr__(image, name, value)
         return image
-
-    def _check(self, seq: np.ndarray) -> int:
-        """Check the fields against a 1-D sequence ``seq``, store ``kind`` as a CurveKind; returns 4^order."""
-        object.__setattr__(self, "kind", CurveKind(self.kind))
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.order}")
-        cells = 1 << (2 * self.order)
-        if seq.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {seq.shape}")
-        if seq.size > cells:
-            raise ValueError(f"sequence of {seq.size} values exceeds {cells} cells "
-                             f"at order {self.order}")
-        if not 0 <= self.length <= cells:
-            raise ValueError(f"length {self.length} outside [0, {cells}]")
-        return cells
 
     @functools.cached_property
     def pixels(self) -> np.ndarray:
@@ -109,7 +115,10 @@ class MixupParams:
 
 def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
     """Lay a clip out along the curve; pads the tail with zeros."""
-    return SfcImage(kind, order, clip.length, clip.samples)
+    _, cells = _check_fields(kind, order, clip.length, clip.samples)  # before the 4^k allocation
+    samples = np.zeros(cells, dtype=np.float64)
+    samples[: clip.length] = clip.samples  # a clip's samples are finite
+    return SfcImage._own(kind, order, clip.length, samples)
 
 
 def decode(image: SfcImage, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
@@ -144,8 +153,12 @@ def mixup(a: SfcImage, b: SfcImage, params: MixupParams, lam: float | None = Non
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:  # NaN fails too
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    mixed = a.samples * lam  # lam*a + (1-lam)*b, the same IEEE operations, one temporary
-    mixed += b.samples * (1.0 - lam)
+    try:  # finite inputs and lam in [0, 1] can leave the finite range only by overflow
+        with np.errstate(over="raise"):
+            mixed = a.samples * lam  # lam*a + (1-lam)*b, the same IEEE operations, one temporary
+            mixed += b.samples * (1.0 - lam)
+    except FloatingPointError:
+        raise ValueError(f"mixup at lam {lam} overflows float64") from None
     return SfcImage._own(a.kind, a.order, a.length, mixed), lam
 
 
@@ -162,42 +175,69 @@ def export_pgm(image: SfcImage, path) -> None:
 
 
 def export_raw(image: SfcImage, path) -> None:
-    """Lossless .sfci file: 12-byte header, then float32 samples in curve order."""
+    """Lossless .sfci file: 12-byte header, then float32 samples in curve order.
+
+    A sample beyond the float32 range raises ValueError naming its index,
+    before the file is opened.
+    """
+    try:
+        with np.errstate(over="raise"):
+            payload = image.samples.astype("<f4")
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            i = int(np.argmax(np.isinf(image.samples.astype("<f4"))))
+        raise ValueError(f"sample {image.samples[i]} at index {i} is outside the float32 range") from None
     header = RAW_HEADER.pack(
         RAW_MAGIC, RAW_VERSION, int(image.kind), image.order, 0, image.length
     )
     with open(path, "wb") as fh:  # two writes, no joined copy of the payload
-        fh.writelines((header, image.samples.astype("<f4").data))
+        fh.writelines((header, payload.data))
 
 
 def import_raw(path) -> SfcImage:
-    """Parse a .sfci file back into an image, validating the header and every sample."""
-    data = Path(path).read_bytes()
-    if len(data) < RAW_HEADER_SIZE:
-        raise RawFormatError(f"header needs {RAW_HEADER_SIZE} bytes, file has {len(data)}", 0)
-    magic, version, kind_id, order, reserved, length = RAW_HEADER.unpack_from(data)
-    if magic != RAW_MAGIC:
-        raise RawFormatError(f"bad magic {magic!r}, expected {RAW_MAGIC!r}", 0)
-    if version != RAW_VERSION:
-        raise RawFormatError(f"unsupported version {version}", 4)
-    try:
-        kind = CurveKind(kind_id)
-    except ValueError:
-        raise RawFormatError(f"unknown curve id {kind_id}", 5) from None
-    if not 1 <= order <= MAX_ORDER:
-        raise RawFormatError(f"order {order} outside [1, {MAX_ORDER}]", 6)
-    if reserved != 0:
-        raise RawFormatError(f"reserved byte must be 0, got {reserved}", 7)
-    cells = 1 << (2 * order)
-    if length > cells:
-        raise RawFormatError(f"length {length} exceeds {cells} cells at order {order}", 8)
-    expected = 4 * cells
-    got = len(data) - RAW_HEADER_SIZE
-    if got != expected:
-        raise RawFormatError(f"payload of {expected} bytes expected, got {got}", RAW_HEADER_SIZE)
-    seq = np.frombuffer(data, dtype="<f4", offset=RAW_HEADER_SIZE)
-    if not np.isfinite(seq).all():
-        i = int(np.flatnonzero(~np.isfinite(seq))[0])
-        raise RawFormatError(f"non-finite sample {seq[i]} at index {i}", RAW_HEADER_SIZE + 4 * i)
-    # float32 -> float64 is exact, and the payload already fills all 4^k cells
-    return SfcImage._own(kind, order, length, seq.astype(np.float64))
+    """Parse a .sfci file back into an image, validating the header and every sample.
+
+    The payload streams through one reused float32 buffer of 2^16 samples:
+    each block is checked for NaN and infinity, then widened into the
+    image's float64 array (exactly), so the file is never held whole.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(RAW_HEADER_SIZE)
+        if len(header) < RAW_HEADER_SIZE:
+            raise RawFormatError(f"header needs {RAW_HEADER_SIZE} bytes, file has {len(header)}", 0)
+        magic, version, kind_id, order, reserved, length = RAW_HEADER.unpack(header)
+        if magic != RAW_MAGIC:
+            raise RawFormatError(f"bad magic {magic!r}, expected {RAW_MAGIC!r}", 0)
+        if version != RAW_VERSION:
+            raise RawFormatError(f"unsupported version {version}", 4)
+        try:
+            kind = CurveKind(kind_id)
+        except ValueError:
+            raise RawFormatError(f"unknown curve id {kind_id}", 5) from None
+        if not 1 <= order <= MAX_ORDER:
+            raise RawFormatError(f"order {order} outside [1, {MAX_ORDER}]", 6)
+        if reserved != 0:
+            raise RawFormatError(f"reserved byte must be 0, got {reserved}", 7)
+        cells = 1 << (2 * order)
+        if length > cells:
+            raise RawFormatError(f"length {length} exceeds {cells} cells at order {order}", 8)
+        expected = 4 * cells
+        if size - RAW_HEADER_SIZE != expected:
+            raise RawFormatError(f"payload of {expected} bytes expected, "
+                                 f"got {size - RAW_HEADER_SIZE}", RAW_HEADER_SIZE)
+        samples = np.empty(cells, dtype=np.float64)
+        buf = np.empty(min(cells, _BLOCK), dtype="<f4")
+        for start in range(0, cells, buf.size):
+            block = buf[: cells - start]
+            got = fh.readinto(block)
+            if got != block.nbytes:  # the file shrank while being read
+                raise RawFormatError(f"payload of {expected} bytes expected, "
+                                     f"got {4 * start + got}", RAW_HEADER_SIZE)
+            bad = _first_non_finite(block)
+            if bad is not None:
+                i = start + bad
+                raise RawFormatError(f"non-finite sample {block[bad]} at index {i}",
+                                     RAW_HEADER_SIZE + 4 * i)
+            samples[start : start + block.size] = block  # float32 -> float64 is exact
+    return SfcImage._own(kind, order, length, samples)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_SAMPLE_RATE = 16000
-_BLOCK = 1 << 16  # samples per step of save_wav's quantiser and of the finite scan
+_BLOCK = 1 << 16  # samples per step of save_wav's quantiser, the finite scan and import_raw
 
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes 4..15 shared by every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0..3 hold
@@ -58,19 +58,33 @@ def _first_non_finite(samples: np.ndarray) -> int | None:
     return None
 
 
+def _check_finite(samples: np.ndarray) -> None:
+    """Raise ValueError naming the first NaN or infinite sample of a 1-D array."""
+    bad = _first_non_finite(samples)
+    if bad is not None:
+        raise ValueError(f"non-finite sample {samples[bad]} at index {bad}")
+
+
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono waveform. ``samples`` is an immutable vector of finite float64 values."""
+    """Mono waveform. ``samples`` is an immutable vector of finite float64 values.
+
+    Samples are checked where they enter: here, in ``load_wav`` and in
+    ``import_raw``. Arrays the package derives from checked samples (a
+    translate, PCM16 / 32768, a view of an image) are finite by construction
+    and are handed over through ``_own`` without a rescan.
+    """
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         self._adopt(np.array(self.samples, dtype=np.float64), self.sample_rate)
+        _check_finite(self.samples)
 
     @classmethod
     def _own(cls, samples: np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-        """A clip over a float64 array the package has just built: checked and frozen, not copied.
+        """A clip over finite float64 samples the package has just built: frozen, not copied or scanned.
 
         The caller must keep no writeable view of ``samples``.
         """
@@ -83,9 +97,6 @@ class AudioClip:
     def _adopt(self, samples: np.ndarray, sample_rate) -> None:
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        bad = _first_non_finite(samples)
-        if bad is not None:
-            raise ValueError(f"non-finite sample {samples[bad]} at index {bad}")
         if int(sample_rate) <= 0:
             raise ValueError(f"sample rate must be positive, got {sample_rate}")
         samples.flags.writeable = False
@@ -185,16 +196,18 @@ def load_wav(path) -> AudioClip:
     elif audio_format == 3 and bits == 32:
         if len(payload) % 4:
             raise WavTruncatedError(f"{path}: float32 data length {len(payload)} not a multiple of 4")
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        values = np.frombuffer(payload, dtype="<f4")
+        try:
+            _check_finite(values)
+        except ValueError as exc:
+            raise WavEncodingError(f"{path}: {exc}") from None
+        samples = values.astype(np.float64)
     else:
         raise WavEncodingError(
             f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit); "
             "only 16-bit PCM and 32-bit float are accepted"
         )
-    try:
-        return AudioClip._own(samples, rate)
-    except ValueError as exc:  # the one check AudioClip can fail here: a non-finite sample
-        raise WavEncodingError(f"{path}: {exc}") from None
+    return AudioClip._own(samples, rate)  # int16 / 32768 is always finite
 
 
 def save_wav(clip: AudioClip, path) -> None:

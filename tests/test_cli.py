@@ -13,7 +13,9 @@ from click.testing import CliRunner
 from sfcaudio import cli, curves
 from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, main
 from sfcaudio.curves import MAX_ORDER, CurveKind, build_curve, get_curve
-from sfcaudio.imaging import SfcImage, draw_mixup_lambdas, export_raw, import_raw
+from sfcaudio.imaging import (
+    RAW_HEADER, RAW_MAGIC, SfcImage, draw_mixup_lambdas, export_raw, import_raw,
+)
 from sfcaudio.signal import AudioClip, ShiftParams, load_wav, random_shift, save_wav
 
 
@@ -37,6 +39,12 @@ def write_clip(path, length=400, seed=0):
     path.parent.mkdir(parents=True, exist_ok=True)
     save_wav(AudioClip(samples), path)
     return samples
+
+
+def write_raw(path, kind, order, length, samples):
+    """A .sfci file written byte by byte, so it can hold values SfcImage rejects."""
+    header = RAW_HEADER.pack(RAW_MAGIC, 1, int(kind), order, 0, length)
+    path.write_bytes(header + np.asarray(samples, dtype="<f4").tobytes())
 
 
 def read_manifest(path):
@@ -262,13 +270,43 @@ def test_decode_rejects_garbage(tmp_path, runner):
 
 
 def test_decode_reports_a_non_finite_sfci(tmp_path, runner):
-    samples = np.zeros(10)
+    samples = np.zeros(16)
     samples[3] = np.nan
-    export_raw(SfcImage(CurveKind.Z, 2, 10, samples), tmp_path / "bad.sfci")
+    write_raw(tmp_path / "bad.sfci", CurveKind.Z, 2, 10, samples)
     result = runner.invoke(main, ["decode", str(tmp_path / "bad.sfci"), "--out", str(tmp_path / "bad.wav")])
     assert result.exit_code == 1
     assert "non-finite sample nan at index 3" in all_output(result)
     assert not (tmp_path / "bad.wav").exists()
+
+
+def test_encode_of_a_clip_beyond_float32_is_error_row(tmp_path, runner, monkeypatch):
+    write_clip(tmp_path / "src" / "big.wav", length=50)
+    monkeypatch.setattr(cli, "load_wav", lambda path: AudioClip(np.array([0.5, -2e39, 1.0])))
+    out = tmp_path / "img"
+    result = runner.invoke(main, ["encode", str(tmp_path / "src"), "--order", "3", "--out", str(out)])
+    assert result.exit_code == 1
+    row = read_manifest(out / "manifest.csv")[0]
+    assert row["status"] == "error" and row["output"] == ""
+    assert row["error"] == "sample -2e+39 at index 1 is outside the float32 range"
+    assert not (out / "big.sfci").exists()
+
+
+def test_largest_float32_samples_encode_and_mix(tmp_path, runner, wav_factory):
+    top = np.finfo(np.float32).max
+    (tmp_path / "src").mkdir()
+    for i, sign in enumerate((1.0, -1.0)):
+        values = np.full(50, sign * top, dtype="<f4")
+        values[::7] = 0.25
+        wav_factory(f"src/c{i}.wav", audio_format=3, bits=32, payload=values.tobytes())
+    img = tmp_path / "img"
+    assert runner.invoke(main, ["encode", str(tmp_path / "src"), "--order", "3", "--out", str(img)]).exit_code == 0
+    out = tmp_path / "mix"
+    result = runner.invoke(main, ["mixup", str(img / "manifest.csv"), "--out", str(out)])
+    assert result.exit_code == 0, all_output(result)
+    rows = read_manifest(out / "manifest.csv")
+    assert len(rows) == 1 and rows[0]["status"] == "ok"
+    mixed = import_raw(out / rows[0]["output"]).samples
+    assert np.isfinite(mixed).all() and np.abs(mixed).max() <= top
 
 
 # --- mixup -----------------------------------------------------------------------
@@ -364,7 +402,7 @@ def test_mixup_non_finite_sfci_is_error_row(tmp_path, runner, value):
     bad = import_raw(img_dir / "c1.sfci")
     samples = bad.samples.copy()
     samples[5] = value
-    export_raw(SfcImage(bad.kind, bad.order, bad.length, samples), img_dir / "c1.sfci")
+    write_raw(img_dir / "c1.sfci", bad.kind, bad.order, bad.length, samples)
     out = tmp_path / "mix"
     result = runner.invoke(main, ["mixup", str(img_dir / "manifest.csv"), "--out", str(out)])
     assert result.exit_code == 1

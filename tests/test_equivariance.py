@@ -77,6 +77,14 @@ def test_fold_rejects_partial_sequences():
         fold(np.zeros(63), CurveKind.Z, 3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fold_rejects_non_finite_samples(value):
+    seq = np.zeros(64)
+    seq[[41, 50]] = value
+    with pytest.raises(ValueError, match=f"non-finite sample {value} at index 41"):
+        fold(seq, CurveKind.Z, 3)
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError, match="order"):
         Kernel(order=0, weights=np.zeros((1, 1)))

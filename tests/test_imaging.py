@@ -1,11 +1,15 @@
 """Image encoding, mixup, and the PGM/.sfci serializers."""
 
+import os
+import re
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sfcaudio import curves
+from sfcaudio import curves, signal
 from sfcaudio.curves import CurveKind, get_curve
 from sfcaudio.imaging import (
     RAW_HEADER,
@@ -22,7 +26,7 @@ from sfcaudio.imaging import (
     import_raw,
     mixup,
 )
-from sfcaudio.signal import AudioClip, load_wav, save_wav
+from sfcaudio.signal import AudioClip, ShiftParams, center, load_wav, random_shift, save_wav
 
 ALL_KINDS = list(CurveKind)
 
@@ -163,10 +167,40 @@ def test_private_constructors_check_and_freeze_without_copying():
     arr = np.arange(4.0)
     clip = AudioClip._own(arr, 8000)
     assert clip.samples is arr and not arr.flags.writeable and clip.sample_rate == 8000
-    for seq, rate in [(np.array([0.0, np.nan]), 16000), (np.zeros(4, dtype=np.float32), 16000),
-                      (np.zeros((2, 2)), 16000), (np.zeros(4), 0)]:
+    for seq, rate in [(np.zeros(4, dtype=np.float32), 16000), (np.zeros((2, 2)), 16000),
+                      (np.zeros(4), 0)]:
         with pytest.raises(ValueError):
             AudioClip._own(seq, rate)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_public_image_rejects_non_finite_samples(value):
+    seq = np.zeros(10)
+    seq[[6, 8]] = value
+    with pytest.raises(ValueError, match=f"non-finite sample {value} at index 6"):
+        SfcImage(CurveKind.Z, 2, 10, seq)
+
+
+def test_samples_derived_inside_the_package_are_not_rescanned(tmp_path, monkeypatch):
+    burst = np.zeros(4000)
+    burst[100:200] = 0.5
+    clip = AudioClip(burst)
+    save_wav(clip, tmp_path / "c.wav")
+    other = encode(AudioClip(-burst), CurveKind.HILBERT, 6)
+
+    def no_scan(samples):
+        raise AssertionError("finite samples were scanned again")
+
+    monkeypatch.setattr(signal, "_first_non_finite", no_scan)
+    centered = center(clip)
+    shifted = random_shift(centered, ShiftParams(max_shift=1000, rng_seed=3))
+    assert not np.array_equal(centered.samples, burst)
+    assert not np.array_equal(shifted.samples, centered.samples)
+    image = encode(shifted, CurveKind.HILBERT, 6)
+    assert np.array_equal(decode(image).samples, shifted.samples)
+    mixed, _ = mixup(image, other, MixupParams(), lam=0.25)
+    assert mixed.length == 4000
+    assert np.array_equal(load_wav(tmp_path / "c.wav").samples, burst)  # PCM16
 
 
 def test_image_owns_a_zero_padded_copy_of_short_samples():
@@ -377,6 +411,39 @@ def test_export_raw_memory_is_bounded_by_the_payload(tmp_path):
 
 # --- raw export / import ---------------------------------------------------------
 
+def test_import_raw_memory_is_one_float64_array(tmp_path):
+    image = encode(AudioClip(np.random.default_rng(5).uniform(-1, 1, 1 << 20)), CurveKind.Z, 10)
+    export_raw(image, tmp_path / "m.sfci")
+    tracemalloc.start()
+    try:
+        back = import_raw(tmp_path / "m.sfci")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 samples and one block buffer; the file's bytes, a full mask and the
+    # widened copy took about 13 MiB
+    limit = back.samples.nbytes + (1 << 20)
+    assert peak < limit, f"peak {peak / 2**20:.1f} MiB"
+    assert np.array_equal(back.samples, image.samples.astype(np.float32))
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, 1e300])
+def test_export_raw_rejects_samples_beyond_float32(tmp_path, value):
+    image = encode(AudioClip(np.array([0.5, 3e38, value, value])), CurveKind.Z, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "overflow encountered in cast"
+        with pytest.raises(ValueError, match=re.escape(f"sample {value} at index 2 is outside the float32 range")):
+            export_raw(image, tmp_path / "big.sfci")
+    assert not (tmp_path / "big.sfci").exists()
+
+
+def test_export_raw_keeps_the_largest_float32(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    image = encode(AudioClip(np.array([top, -top, 0.5])), CurveKind.Z, 2)
+    export_raw(image, tmp_path / "top.sfci")
+    assert np.array_equal(import_raw(tmp_path / "top.sfci").samples, image.samples)
+
+
 def test_raw_roundtrip_every_kind(tmp_path, pcm16_grid_rng):
     rng = np.random.default_rng(21)
     for kind in ALL_KINDS:
@@ -447,6 +514,13 @@ def test_raw_rejects_non_finite_samples(tmp_path, value):
     (lambda d: d[:8] + (999).to_bytes(4, "little") + d[12:], 8, "length"),
     (lambda d: d[:-4], 12, "payload"),
     (lambda d: d + b"\x00\x00\x00\x00", 12, "payload"),
+    # the exact size messages; an order-2 file has 16 cells, 64 payload bytes
+    (lambda d: d[:0], 0, "header needs 12 bytes, file has 0"),
+    (lambda d: d[:11], 0, "header needs 12 bytes, file has 11"),
+    (lambda d: d[:12], 12, "payload of 64 bytes expected, got 0"),  # header only
+    (lambda d: d[:-1], 12, "payload of 64 bytes expected, got 63"),
+    (lambda d: d + b"\x00", 12, "payload of 64 bytes expected, got 65"),
+    (lambda d: d + b"\x00" * 4, 12, "payload of 64 bytes expected, got 68"),
 ])
 def test_raw_rejects_malformed(tmp_path, mutate, offset, match):
     data = mutate(_valid_raw_bytes())
@@ -456,3 +530,14 @@ def test_raw_rejects_malformed(tmp_path, mutate, offset, match):
         import_raw(path)
     assert info.value.offset == offset
     assert f"byte offset {offset}" in str(info.value)
+
+
+def test_raw_file_that_shrinks_while_read_is_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "short.sfci"
+    path.write_bytes(bytes(_valid_raw_bytes())[:-1])
+    real_fstat = os.fstat
+    # the size seen before the payload is read is the full one
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 1))
+    with pytest.raises(RawFormatError, match="payload of 64 bytes expected, got 63") as info:
+        import_raw(path)
+    assert info.value.offset == RAW_HEADER_SIZE
