@@ -13,9 +13,7 @@ from click.testing import CliRunner
 from sfcaudio import cli, curves
 from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, main
 from sfcaudio.curves import MAX_ORDER, CurveKind, build_curve, get_curve
-from sfcaudio.imaging import (
-    RAW_HEADER, RAW_MAGIC, SfcImage, draw_mixup_lambdas, export_raw, import_raw,
-)
+from sfcaudio.imaging import RAW_HEADER, RAW_MAGIC, draw_mixup_lambdas, import_raw
 from sfcaudio.signal import AudioClip, ShiftParams, load_wav, random_shift, save_wav
 
 

@@ -99,7 +99,7 @@ def test_decode_is_a_frozen_view_of_the_image():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # block-sized scan masks only; a copy of the samples took 8 MiB
+    # no copy and no scan of the samples; a copy took 8 MiB
     assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
     assert np.shares_memory(clip.samples, image.samples)
     assert not clip.samples.flags.writeable and not image.samples.flags.writeable

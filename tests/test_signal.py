@@ -278,7 +278,7 @@ def test_load_memory_is_one_float64_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the file's bytes, the scaled float64 samples and block-sized scan masks; a copy into
+    # the file's bytes and the scaled float64 samples, which are not scanned; a copy into
     # the clip took one more float64 array
     limit = path.stat().st_size + n * 8 + (1 << 20)
     assert clip.length == n and peak < limit, f"peak {peak / 2**20:.1f} MiB"
