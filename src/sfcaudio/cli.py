@@ -1,7 +1,10 @@
 """Command-line surface: batch conversion plus verification reports.
 
-Exit codes: 0 success, 1 input/processing failure, 2 usage error (from
-argument parsing), 3 verification failure in ``verify-lemma``.
+Exit codes: 0 success, 1 input/processing failure (a path that cannot be
+read or written prints ``path: reason`` through ``_failing``), 2 usage error
+(click parses every option value through ``_params``, before any file is
+touched; a check spanning two options is raised by the command body), 3
+verification failure in ``verify-lemma``.
 
 Environment override: SFCAUDIO_LOG_LEVEL.
 """
@@ -52,22 +55,19 @@ logger = logging.getLogger("sfcaudio")
 _CURVE_NAMES = [k.name.lower() for k in CurveKind]
 
 
-def _parse_span(text: str, what: str, least: int | None = None, most: int | None = None) -> list[int]:
-    # "2:4" -> [2, 3, 4]; "3" -> [3]; values outside [least, most] are usage errors
+def _parse_span(text: str, least: int | None = None, most: int | None = None) -> list[int]:
+    # "2:4" -> [2, 3, 4]; "3" -> [3]; a malformed span or values outside [least, most] raise ValueError
+    lo, colon, hi = text.partition(":")
     try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(text)
+        lo, hi = int(lo), int(hi if colon else lo)
     except ValueError:
-        raise click.UsageError(f"bad {what} {text!r}; expected N or LO:HI") from None
+        raise ValueError(f"{text!r} is not N or LO:HI") from None
     if hi < lo:
-        raise click.UsageError(f"bad {what} {text!r}; upper bound below lower")
+        raise ValueError(f"{text!r}: upper bound below lower")
     if least is not None and lo < least:
-        raise click.UsageError(f"bad {what} {text!r}; values must be >= {least}")
+        raise ValueError(f"{text!r}: values must be >= {least}")
     if most is not None and hi > most:
-        raise click.UsageError(f"bad {what} {text!r}; values must be <= {most}")
+        raise ValueError(f"{text!r}: values must be <= {most}")
     return list(range(lo, hi + 1))
 
 
@@ -95,7 +95,8 @@ def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
     A ValueError (WavError and RawFormatError are ones) or an OSError makes
     the item an error row and the exit status 1, and the batch goes on.
     """
-    out.mkdir(parents=True, exist_ok=True)
+    with _failing(out):
+        out.mkdir(parents=True, exist_ok=True)
     rows = []
     for label, job in jobs:
         row = dict.fromkeys(MANIFEST_FIELDS, "")
@@ -109,7 +110,8 @@ def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
             logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
             row.update(status="error", error=message)
         rows.append(row)
-    with open(out / "manifest.csv", "w", newline="") as fh:
+    manifest = out / "manifest.csv"
+    with _failing(manifest), open(manifest, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -121,11 +123,11 @@ def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
 
 
 @contextlib.contextmanager
-def _writing(path):
-    """Turn an OSError raised inside the block into ``path: message`` on stderr and exit 1."""
+def _failing(path):
+    """Turn a ValueError or OSError raised inside the block into ``path: reason`` on stderr and exit 1."""
     try:
         yield
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"{path}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
 
@@ -199,12 +201,9 @@ def encode_cmd(source: Path, curve, order, cparams, shift_args, fmt, out: Path):
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), required=True)
 def decode_cmd(source: Path, out: Path):
     """Reconstruct a wav file from a .sfci image."""
-    try:
+    with _failing(source):
         clip = decode_image(import_raw(source))
-    except (ValueError, OSError) as exc:  # import_raw's RawFormatError is a ValueError
-        click.echo(f"{source}: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    with _writing(out):
+    with _failing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
         save_wav(clip, out)
     click.echo(f"wrote {out} ({clip.length} samples)")
@@ -222,10 +221,10 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
     Pairing and weights are drawn from SEED; each output row records the
     two source files and the weight, so blends can be reproduced.
     """
-    with open(manifest, newline="") as fh:
+    with _failing(manifest), open(manifest, newline="") as fh:
         rows = list(csv.DictReader(fh))
     base = manifest.parent
-    usable = [r for r in rows if r.get("status") == "ok" and r.get("output", "").endswith(".sfci")]
+    usable = [r for r in rows if r.get("status") == "ok" and (r.get("output") or "").endswith(".sfci")]
     if len(usable) < 2:
         click.echo("need at least two ok .sfci rows to mix", err=True)
         sys.exit(EXIT_INPUT)
@@ -257,7 +256,7 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
 def curve_table_cmd(curve, order, out):
     """Dump the index -> (x, y) mapping of one curve as CSV."""
     cm = build_curve(CurveKind.from_name(curve), order)
-    with _writing(out or "stdout"), (open(out, "wb") if out else
+    with _failing(out or "stdout"), (open(out, "wb") if out else
                                     contextlib.nullcontext(click.get_binary_stream("stdout"))) as target:
         target.write(b"t,x,y\n")
         for start in range(0, cm.size, _CSV_BLOCK):
@@ -293,49 +292,43 @@ def _csv_rows(start: int, xs: np.ndarray, ys: np.ndarray) -> bytes:
 
 @main.command("locality")
 @click.option("--order", type=click.IntRange(1, MAX_ORDER), default=6, show_default=True)
-@click.option("--gaps", default="1,4,16,64,256", show_default=True, help="comma-separated index gaps")
+@click.option("--gaps", default="1,4,16,64,256", show_default=True, help="comma-separated index gaps",
+              callback=_params(lambda text: [int(g) for g in text.split(",")]))
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 def locality_cmd(order, gaps, fmt, out):
     """Worst/mean grid-distance profile of every curve at one order."""
-    try:
-        gap_list = [int(g) for g in gaps.split(",") if g.strip()]
-        reports = compare_curves(order, gap_list)
-    except ValueError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_INPUT)
+    for g in gaps:  # the bound depends on --order
+        if not 1 <= g < 4**order:
+            raise click.BadParameter(f"gap {g} outside [1, {4**order}) at order {order}", param_hint="'--gaps'")
+    reports = compare_curves(order, gaps)
     text = reports_to_csv(reports) if fmt == "csv" else reports_to_text(reports)
     if out:
-        with _writing(out):
+        with _failing(out):
             Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
 
 
 @main.command("verify-lemma")
-@click.option("--curves", default="z", show_default=True, help="comma-separated curve names")
-@click.option("--k-range", default="2:4", show_default=True, metavar="LO:HI")
-@click.option("--l-range", default="1:2", show_default=True, metavar="LO:HI")
+@click.option("--curves", "kinds", default="z", show_default=True, help="comma-separated curve names",
+              callback=_params(lambda text: [CurveKind.from_name(s) for s in text.split(",")]))
+@click.option("--k-range", "k_list", default="2:4", show_default=True, metavar="LO:HI",
+              callback=_params(lambda text: _parse_span(text, most=MAX_ORDER)))
+@click.option("--l-range", "l_list", default="1:2", show_default=True, metavar="LO:HI",
+              callback=_params(lambda text: _parse_span(text, least=1)))
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--real", "real_valued", is_flag=True, help="draw real-valued inputs instead of integers")
 @click.option("--witness-out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="write the worst witness per (curve, k, l) as CSV")
-def verify_lemma_cmd(curves, k_range, l_range, trials, seed, real_valued, witness_out):
+def verify_lemma_cmd(kinds, k_list, l_list, trials, seed, real_valued, witness_out):
     """Check shift equivariance of strided convolution through each curve.
 
     The z curve is expected to hold exactly; the exit status reports it.
     Other curves are informational, witnesses of failure being the
     expected outcome there.
     """
-    try:
-        kinds = [CurveKind.from_name(s) for s in curves.split(",") if s.strip()]
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    if not kinds:
-        raise click.UsageError("no curves given")
-    k_list = _parse_span(k_range, "k range", most=MAX_ORDER)
-    l_list = _parse_span(l_range, "l range", least=1)
     if not any(l < k for k in k_list for l in l_list):
         raise click.UsageError("no (k, l) pair with l < k in the given ranges")
 
@@ -349,7 +342,7 @@ def verify_lemma_cmd(curves, k_range, l_range, trials, seed, real_valued, witnes
             z_failed = True
 
     if witness_out:
-        with _writing(witness_out):
+        with _failing(witness_out):
             Path(witness_out).write_text(witnesses_to_csv(worst_witnesses))
     if CurveKind.Z in kinds:
         if z_failed:

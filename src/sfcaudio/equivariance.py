@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .curves import CurveKind, get_curve
 from .imaging import SfcImage
+from .signal import _check_finite, _first_non_finite
 
 WITNESS_CSV_HEADER = "kind,k,l,d,seed,max_abs_difference,holds"
 _SWEEP_BLOCK = 1 << 16  # pixel cells per block of pipeline arms
@@ -49,6 +50,9 @@ class Kernel:
         weights = np.array(self.weights, dtype=np.float64)
         if weights.shape != (side, side):
             raise ValueError(f"weights must be {side}x{side}, got shape {weights.shape}")
+        bad = _first_non_finite(weights.reshape(-1))
+        if bad is not None:
+            raise ValueError(f"non-finite weight {weights.flat[bad]} at flat index {bad}")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -218,6 +222,7 @@ def check_equivariance(
     if not 0 <= d < out_len:
         raise ValueError(f"shift multiplier d={d} outside [0, {out_len})")
     _check_full_length(seq, k)
+    _check_finite(seq)
     return _witness(kind, k, l, d, seed, _shift_differences(kind, k, kernel, seq, [0, d])[1])
 
 

@@ -378,6 +378,17 @@ def test_mixup_needs_two_rows(tmp_path, runner):
     assert "at least two" in all_output(result)
 
 
+def test_mixup_skips_a_row_shorter_than_its_header(tmp_path, runner):
+    img_dir = encode_corpus(tmp_path, runner, count=2)
+    manifest = img_dir / "short.csv"
+    manifest.write_text("status,output\nok\nok,c0.sfci\nok,c1.sfci\n")
+    out = tmp_path / "mix"
+    result = runner.invoke(main, ["mixup", str(manifest), "--out", str(out)])
+    assert result.exit_code == 0, all_output(result)
+    (row,) = read_manifest(out / "manifest.csv")
+    assert row["status"] == "ok"
+
+
 def test_mixup_length_mismatch_is_error_row(tmp_path, runner):
     src = tmp_path / "src"
     write_clip(src / "a.wav", length=100)
@@ -452,6 +463,8 @@ def test_failing_item_logs_its_label_once(tmp_path, runner, caplog):
 # --- unwritable output paths ---------------------------------------------------------
 
 UNWRITABLE_OUTPUTS = [
+    ["encode", "{wav}", "--out", "{out}"],
+    ["mixup", "{manifest}", "--out", "{out}"],
     ["decode", "{sfci}", "--out", "{out}.wav"],
     ["curve-table", "--curve", "z", "--order", "2", "--out", "{out}.csv"],
     ["locality", "--order", "2", "--gaps", "1,4", "--out", "{out}.txt"],
@@ -461,16 +474,37 @@ UNWRITABLE_OUTPUTS = [
 
 @pytest.mark.parametrize("args", UNWRITABLE_OUTPUTS, ids=lambda args: args[0])
 def test_unwritable_output_exits_cleanly(tmp_path, runner, args):
-    img_dir = encode_corpus(tmp_path, runner, count=1)
+    img_dir = encode_corpus(tmp_path, runner, count=2)  # mixup needs a pair
     blocker = tmp_path / "blocker"
     blocker.write_bytes(b"")  # a regular file where a directory is needed
-    fields = {"sfci": str(img_dir / "c0.sfci"), "out": str(blocker / "sub" / "o")}
+    fields = {
+        "wav": str(tmp_path / "src" / "c0.wav"), "manifest": str(img_dir / "manifest.csv"),
+        "sfci": str(img_dir / "c0.sfci"), "out": str(blocker / "sub" / "o"),
+    }
     argv = [a.format(**fields) for a in args]
     result = runner.invoke(main, argv)
     assert result.exit_code == 1, all_output(result)
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in all_output(result)
     assert f"{argv[-1]}: " in result.stderr
+
+
+@pytest.mark.parametrize("side", ["read", "write"])
+def test_unusable_manifest_exits_cleanly(tmp_path, runner, side):
+    img_dir = encode_corpus(tmp_path, runner, count=2)
+    if side == "read":  # a manifest that is not UTF-8
+        manifest = img_dir / "manifest.csv"
+        manifest.write_bytes(b"status,output\nok,\xff.sfci\n")
+        argv = ["mixup", str(manifest), "--out", str(tmp_path / "mix")]
+    else:  # a directory where encode writes its manifest
+        manifest = tmp_path / "enc" / "manifest.csv"
+        manifest.mkdir(parents=True)
+        argv = ["encode", str(tmp_path / "src"), "--order", "4", "--out", str(manifest.parent)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1, all_output(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in all_output(result)
+    assert result.stderr.startswith(f"{manifest}: ")
 
 
 # --- bad option values -----------------------------------------------------------
@@ -484,6 +518,10 @@ BAD_OPTION_VALUES = [
     ["mixup", "{manifest}", "--alpha", "inf"],
     ["mixup", "{manifest}", "--alpha", "0"],
     ["mixup", "{manifest}", "--seed", "-1"],
+    ["locality", "--gaps", "abc"],
+    ["locality", "--gaps", "0"],
+    ["locality", "--gaps", ","],
+    ["locality", "--order", "3", "--gaps", "64"],
 ]
 
 
@@ -632,8 +670,8 @@ def test_locality_csv_file(tmp_path, runner):
 
 def test_locality_bad_inputs(runner):
     assert runner.invoke(main, ["locality", "--order", str(MAX_ORDER + 1)]).exit_code == 2
-    assert runner.invoke(main, ["locality", "--order", "3", "--gaps", "0"]).exit_code == 1
-    assert runner.invoke(main, ["locality", "--order", "3", "--gaps", "64"]).exit_code == 1
+    assert runner.invoke(main, ["locality", "--order", "3", "--gaps", "0"]).exit_code == 2
+    assert runner.invoke(main, ["locality", "--order", "3", "--gaps", "64"]).exit_code == 2
 
 
 # --- verify-lemma ----------------------------------------------------------------
@@ -694,7 +732,7 @@ def test_verify_lemma_usage_errors(runner):
     assert runner.invoke(main, [
         "verify-lemma", "--k-range", "2:2", "--l-range", "2:3",
     ]).exit_code == 2
-    for args in (["--curves", "z,bogus"], ["--k-range", "14:14"], ["--l-range", "0:1"], ["--seed", "-1"]):
+    for args in (["--curves", "z,bogus"], ["--curves", "z,"], ["--k-range", "14:14"], ["--l-range", "0:1"], ["--seed", "-1"]):
         result = runner.invoke(main, ["verify-lemma", *args])
         assert result.exit_code == 2, all_output(result)
         assert result.output.startswith("Usage:")  # no sweep output before the error
@@ -703,14 +741,13 @@ def test_verify_lemma_usage_errors(runner):
 # --- helpers ---------------------------------------------------------------------
 
 def test_parse_span():
-    assert _parse_span("3", "k") == [3]
-    assert _parse_span("2:4", "k") == [2, 3, 4]
-    import click
-    with pytest.raises(click.UsageError):
-        _parse_span("4:2", "k")
-    with pytest.raises(click.UsageError):
-        _parse_span("a:b", "k")
-    assert _parse_span("1:13", "k", least=1, most=13) == list(range(1, 14))
+    assert _parse_span("3") == [3]
+    assert _parse_span("2:4") == [2, 3, 4]
+    with pytest.raises(ValueError):
+        _parse_span("4:2")
+    with pytest.raises(ValueError):
+        _parse_span("a:b")
+    assert _parse_span("1:13", least=1, most=13) == list(range(1, 14))
     for text, bounds in (("0:2", dict(least=1)), ("12:14", dict(most=13)), ("5", dict(least=6, most=9))):
-        with pytest.raises(click.UsageError):
-            _parse_span(text, "k", **bounds)
+        with pytest.raises(ValueError):
+            _parse_span(text, **bounds)

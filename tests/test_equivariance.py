@@ -85,6 +85,18 @@ def test_fold_rejects_non_finite_samples(value):
         fold(seq, CurveKind.Z, 3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_equivariance_inputs_must_be_finite(value):
+    seq = np.arange(16.0)
+    seq[3] = value
+    with pytest.raises(ValueError, match=f"non-finite sample {value} at index 3"):
+        check_equivariance(CurveKind.Z, 2, Kernel(1, np.ones((2, 2))), seq, 1)
+    weights = np.ones((2, 2))
+    weights[1, 0] = value
+    with pytest.raises(ValueError, match=f"non-finite weight {value} at flat index 2"):
+        Kernel(1, weights)
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError, match="order"):
         Kernel(order=0, weights=np.zeros((1, 1)))
