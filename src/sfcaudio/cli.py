@@ -127,6 +127,8 @@ def _failing(path):
     """Turn a ValueError or OSError raised inside the block into ``path: reason`` on stderr and exit 1."""
     try:
         yield
+    except BrokenPipeError:
+        raise  # click ends a closed stdout with exit 1 and nothing on stderr
     except (ValueError, OSError) as exc:
         click.echo(f"{path}: {exc}", err=True)
         sys.exit(EXIT_INPUT)
@@ -332,20 +334,16 @@ def verify_lemma_cmd(kinds, k_list, l_list, trials, seed, real_valued, witness_o
     if not any(l < k for k in k_list for l in l_list):
         raise click.UsageError("no (k, l) pair with l < k in the given ranges")
 
-    z_failed = False
-    worst_witnesses = []
+    sweeps = []
     for kind in kinds:
-        sweep = sweep_lemma(kind, k_list, l_list, trials=trials, seed=seed, real_valued=real_valued)
-        click.echo(sweep_to_text(sweep), nl=False)
-        worst_witnesses.extend(c.worst for c in sweep.cells)
-        if kind is CurveKind.Z and not sweep.all_hold:
-            z_failed = True
+        sweeps.append(sweep_lemma(kind, k_list, l_list, trials=trials, seed=seed, real_valued=real_valued))
+        click.echo(sweep_to_text(sweeps[-1]), nl=False)
 
     if witness_out:
         with _failing(witness_out):
-            Path(witness_out).write_text(witnesses_to_csv(worst_witnesses))
+            Path(witness_out).write_text(witnesses_to_csv(c.worst for s in sweeps for c in s.cells))
     if CurveKind.Z in kinds:
-        if z_failed:
+        if not all(s.all_hold for s in sweeps if s.kind is CurveKind.Z):
             click.echo("z-curve equivariance FAILED", err=True)
             sys.exit(EXIT_VERIFY)
         click.echo("z-curve equivariance holds for all swept checks")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ class CurveMap:
 
 
 def _check_order(order: int) -> int:
-    order = int(order)
+    order = operator.index(order)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"curve order must be in [1, {MAX_ORDER}], got {order}")
     return order
@@ -377,7 +378,7 @@ def get_curve(kind: CurveKind, order: int) -> CurveMap:
 
 def index_to_point(cmap: CurveMap, t: int) -> tuple[int, int]:
     """Grid point visited at linear index ``t``."""
-    t = int(t)
+    t = operator.index(t)
     if not 0 <= t < cmap.size:
         raise IndexError(f"index {t} outside [0, {cmap.size})")
     return int(cmap.xs[t]), int(cmap.ys[t])
@@ -385,7 +386,7 @@ def index_to_point(cmap: CurveMap, t: int) -> tuple[int, int]:
 
 def point_to_index(cmap: CurveMap, x: int, y: int) -> int:
     """Linear index of grid point ``(x, y)``."""
-    x, y = int(x), int(y)
+    x, y = operator.index(x), operator.index(y)
     if not (0 <= x < cmap.n and 0 <= y < cmap.n):
         raise IndexError(f"point ({x}, {y}) outside the {cmap.n}x{cmap.n} grid")
     return int(cmap.inverse[y, x])

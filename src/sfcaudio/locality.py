@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class LocalityReport:
 
 def grid_distance(cmap: CurveMap, i: int, j: int, p) -> float:
     """p-norm (p in {1, 2, inf}) of the grid displacement between indices."""
-    i, j = int(i), int(j)
+    i, j = operator.index(i), operator.index(j)
     for t in (i, j):
         if not 0 <= t < cmap.size:
             raise IndexError(f"index {t} outside [0, {cmap.size})")

@@ -5,6 +5,10 @@ import csv
 import hashlib
 import io
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,6 +652,19 @@ def test_curve_table_stdout_bytes(runner, monkeypatch):
     assert result.stdout_bytes == b"t,x,y\n" + fstring_rows(build_curve(CurveKind.OPTR, 3))
 
 
+def test_curve_table_into_a_closed_pipe_exits_1_silently():
+    # the reader keeps one line and closes; the 3 MB table cannot fit in the pipe buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sfcaudio.cli", "curve-table", "--curve", "z", "--order", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"t,x,y\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
 # --- locality --------------------------------------------------------------------
 
 def test_locality_text(runner):
@@ -723,6 +740,28 @@ def test_verify_lemma_exit_code_tracks_z(monkeypatch, runner):
     ])
     assert result.exit_code == 3
     assert "FAILED" in all_output(result)
+
+
+# sha256 of stdout and --witness-out for one small run. The --real digests
+# record the summation order of _conv's einsum under numpy 2.4: a change
+# that moves them changes the digits of real-valued witnesses and must
+# say so in CHANGES.md.
+LEMMA_PIN_ARGS = ["--curves", "z,hilbert", "--k-range", "2:4", "--l-range", "1:2", "--trials", "3", "--seed", "5"]
+LEMMA_PINS = {
+    (): ("2fd671d5c9f17272d754a10eeb50aee3862ca7736dcd0a8211c9a1dd722af4e0",
+         "fd5f1873f141ecd280faa15d32d31f2e972f04a6413f433ac8f284e67f14969c"),
+    ("--real",): ("5695c5b93b53754c75205620898461a9ff9d050d80d4371bfa66c7e8c32a6507",
+                  "99fe1ee48a6e27a84a762a5b323ed1470acce7aea69e3fba7915db9986029e14"),
+}
+
+
+@pytest.mark.parametrize("extra", list(LEMMA_PINS), ids=["integer", "real"])
+def test_verify_lemma_bytes_are_pinned(tmp_path, runner, extra):
+    witness = tmp_path / "w.csv"
+    result = runner.invoke(main, ["verify-lemma", *LEMMA_PIN_ARGS, *extra, "--witness-out", str(witness)])
+    assert result.exit_code == 0, all_output(result)
+    digests = (hashlib.sha256(result.stdout_bytes).hexdigest(), hashlib.sha256(witness.read_bytes()).hexdigest())
+    assert digests == LEMMA_PINS[extra]
 
 
 def test_verify_lemma_usage_errors(runner):

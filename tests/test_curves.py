@@ -15,6 +15,8 @@ from sfcaudio.curves import (
     jump_positions,
     point_to_index,
 )
+from sfcaudio.equivariance import Kernel, check_equivariance, sweep_lemma
+from sfcaudio.locality import grid_distance
 
 ALL_KINDS = list(CurveKind)
 
@@ -470,6 +472,25 @@ def test_point_out_of_grid_rejected():
     for p in ((-1, 0), (0, 4), (4, 4)):
         with pytest.raises(IndexError):
             point_to_index(cm, *p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cm, v: build_curve(CurveKind.Z, v),
+    lambda cm, v: index_to_point(cm, v),
+    lambda cm, v: point_to_index(cm, v, 2),
+    lambda cm, v: point_to_index(cm, 2, v),
+    lambda cm, v: grid_distance(cm, v, 0, 1),
+    lambda cm, v: grid_distance(cm, 0, v, 1),
+    lambda cm, v: check_equivariance(CurveKind.Z, 2, Kernel(1, np.ones((2, 2))), np.zeros(16), v),
+    lambda cm, v: sweep_lemma(CurveKind.Z, [v + 1], [1], trials=1),
+    lambda cm, v: sweep_lemma(CurveKind.Z, [2], [v], trials=1),
+], ids=["build_curve", "index_to_point", "point_to_index.x", "point_to_index.y", "grid_distance.i",
+        "grid_distance.j", "check_equivariance.d", "sweep_lemma.k", "sweep_lemma.l"])
+def test_integer_arguments_refuse_floats(call):
+    cm = build_curve(CurveKind.Z, 2)
+    call(cm, cm.xs[2])  # a numpy integer (uint16 1) passes
+    with pytest.raises(TypeError):  # a float is refused, not truncated
+        call(cm, 1.5)
 
 
 def test_kind_names_and_ids():

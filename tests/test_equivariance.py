@@ -299,6 +299,14 @@ def test_replay_reproduces_witness():
         replay_witness(EquivarianceWitness(CurveKind.Z, 2, 1, 0, None, 0.0, True))
 
 
+def test_replay_reproduces_real_valued_witnesses():
+    cell = sweep_lemma(CurveKind.HILBERT, [3], [1], trials=2, seed=0, real_valued=True).cells[0]
+    for w in (cell.first_failure, cell.worst):
+        assert replay_witness(w, real_valued=True) == w
+    # the witness does not record its input kind: a default replay redraws integer inputs
+    assert replay_witness(cell.first_failure) != cell.first_failure
+
+
 # --- serialization ----------------------------------------------------------------
 
 def test_witness_csv():

@@ -119,6 +119,20 @@ def test_odd_pcm_payload_rejected(wav_factory):
         load_wav(wav_factory(payload=b"\x00" * 3))
 
 
+def test_float32_payload_not_a_multiple_of_4_rejected(wav_factory):
+    with pytest.raises(WavTruncatedError, match="not a multiple of 4"):
+        load_wav(wav_factory(audio_format=3, bits=32, payload=bytes(6)))
+
+
+def test_short_fmt_chunk_rejected(tmp_path):
+    # a 14-byte fmt chunk lacks the bits-per-sample field
+    chunks = b"fmt " + struct.pack("<I", 14) + bytes(14) + b"data" + struct.pack("<I", 2) + bytes(2)
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    with pytest.raises(WavFormatError, match="fmt chunk too short"):
+        load_wav(path)
+
+
 def test_non_riff_rejected(wav_factory, tmp_path):
     with pytest.raises(WavFormatError, match="RIFF"):
         load_wav(wav_factory(magic=b"FORM"))
