@@ -742,26 +742,33 @@ def test_verify_lemma_exit_code_tracks_z(monkeypatch, runner):
     assert "FAILED" in all_output(result)
 
 
-# sha256 of stdout and --witness-out for one small run. The --real digests
-# record the summation order of _conv's einsum under numpy 2.4: a change
-# that moves them changes the digits of real-valued witnesses and must
-# say so in CHANGES.md.
-LEMMA_PIN_ARGS = ["--curves", "z,hilbert", "--k-range", "2:4", "--l-range", "1:2", "--trials", "3", "--seed", "5"]
+# sha256 of stdout and --witness-out for small runs: z and hilbert at
+# l <= 2, then all eight curves at l <= 3. The --real digests record the
+# summation order of the sweep's einsum under numpy 2.4: a change that
+# moves them changes the digits of real-valued witnesses and must say so
+# in CHANGES.md.
+LEMMA_PIN_ARGS = ("--curves", "z,hilbert", "--k-range", "2:4", "--l-range", "1:2", "--trials", "3", "--seed", "5")
+LEMMA_ALL_CURVES_ARGS = ("--curves", "hilbert,z,gray,h,optr,sweep,scan,diagonal", "--k-range", "2:5",
+                         "--l-range", "1:3", "--trials", "3", "--seed", "5")
 LEMMA_PINS = {
-    (): ("2fd671d5c9f17272d754a10eeb50aee3862ca7736dcd0a8211c9a1dd722af4e0",
-         "fd5f1873f141ecd280faa15d32d31f2e972f04a6413f433ac8f284e67f14969c"),
-    ("--real",): ("5695c5b93b53754c75205620898461a9ff9d050d80d4371bfa66c7e8c32a6507",
-                  "99fe1ee48a6e27a84a762a5b323ed1470acce7aea69e3fba7915db9986029e14"),
+    LEMMA_PIN_ARGS: ("2fd671d5c9f17272d754a10eeb50aee3862ca7736dcd0a8211c9a1dd722af4e0",
+                     "fd5f1873f141ecd280faa15d32d31f2e972f04a6413f433ac8f284e67f14969c"),
+    (*LEMMA_PIN_ARGS, "--real"): ("5695c5b93b53754c75205620898461a9ff9d050d80d4371bfa66c7e8c32a6507",
+                                  "99fe1ee48a6e27a84a762a5b323ed1470acce7aea69e3fba7915db9986029e14"),
+    LEMMA_ALL_CURVES_ARGS: ("62f906f253a53521922a5bcf5a7e4b7cb5abdeb9afa10193bb31a28d6a7e7e31",
+                            "b6c137407f43bad19f827ee56bab97ac12f13c92f34a10d734313ceb03b32293"),
+    (*LEMMA_ALL_CURVES_ARGS, "--real"): ("b3f313d62a73c80fdc1aeb8c32005614c88ecd82fade9a66c21cf32f4120dd5e",
+                                         "b0002daea5028c6b3e574041392b1c7ea895d29e6e4f3a42d250f00ca381eaf0"),
 }
 
 
-@pytest.mark.parametrize("extra", list(LEMMA_PINS), ids=["integer", "real"])
-def test_verify_lemma_bytes_are_pinned(tmp_path, runner, extra):
+@pytest.mark.parametrize("args", list(LEMMA_PINS), ids=["integer", "real", "all-curves-integer", "all-curves-real"])
+def test_verify_lemma_bytes_are_pinned(tmp_path, runner, args):
     witness = tmp_path / "w.csv"
-    result = runner.invoke(main, ["verify-lemma", *LEMMA_PIN_ARGS, *extra, "--witness-out", str(witness)])
+    result = runner.invoke(main, ["verify-lemma", *args, "--witness-out", str(witness)])
     assert result.exit_code == 0, all_output(result)
     digests = (hashlib.sha256(result.stdout_bytes).hexdigest(), hashlib.sha256(witness.read_bytes()).hexdigest())
-    assert digests == LEMMA_PINS[extra]
+    assert digests == LEMMA_PINS[args]
 
 
 def test_verify_lemma_usage_errors(runner):
