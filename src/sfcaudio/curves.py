@@ -1,10 +1,13 @@
 """Space-filling curve tables on 2^k x 2^k grids.
 
 Eight curve families are supported, each realized as an exact bijection
-between linear indices [0, 4^k) and grid points. Tables are built eagerly
-so index/point lookups are plain array reads. This module alone knows how
-an index maps to a pixel: image grids are built with
-:meth:`CurveMap.scatter`.
+between linear indices [0, 4^k) and grid points. :func:`build_curve`
+builds the forward tables ``xs``/``ys``; ``perm`` and ``inverse`` are
+derived from them on first use, so index/point lookups are plain array
+reads. This module alone computes how an index maps to a pixel; other
+modules only read its tables: image grids are built with
+:meth:`CurveMap.scatter`, and the equivariance checks gather from
+``inverse`` at the points ``xs``/``ys`` of a coarser order.
 
 Coordinates follow image conventions: ``x`` is the column, ``y`` is the
 row, origin at the top-left corner.

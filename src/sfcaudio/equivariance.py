@@ -15,12 +15,13 @@ real inputs alike. No tolerance is needed: when the layout commutes with
 the shift, both arms apply the same weights to the same samples in the
 same block cells, through the same einsum, so they agree bit for bit.
 
-The arms for many shifts are computed together, in blocks of shifts: a
-block is one integer gather from the curve's inverse table, one einsum
-and one read-back gather, and its size is capped by ``_SWEEP_BLOCK`` so
-that memory stays bounded at any order. A single check is a block of the
-shifts 0 and d. A sweep keeps one float64 per check of a (k, l) cell:
-3.3 MB at k=7, l=1 with 100 trials, 52 MB at k=9.
+The arms for many shifts are computed together, in blocks of shifts,
+with no image built: a block is one gather through the read table of
+:func:`_read_index` and one einsum over the kernel taps, and its size is
+capped by ``_SWEEP_BLOCK`` so that memory stays bounded at any order. A
+single check is a block of the shifts 0 and d. A sweep keeps one float64
+per check of a (k, l) cell: 3.3 MB at k=7, l=1 with 100 trials, 52 MB
+at k=9.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .imaging import SfcImage
 from .signal import _check_finite, _first_non_finite
 
 WITNESS_CSV_HEADER = "kind,k,l,d,seed,max_abs_difference,holds"
-_SWEEP_BLOCK = 1 << 16  # pixel cells per block of pipeline arms
+_SWEEP_BLOCK = 1 << 16  # samples read per block of pipeline arms
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class LemmaSweep:
 
 def circular_shift(seq: np.ndarray, r: int) -> np.ndarray:
     """Rotate so output[i] = input[(i + r) mod len]; r is reduced mod len."""
-    return np.roll(np.asarray(seq), -int(r))
+    return np.roll(np.asarray(seq), -operator.index(r))
 
 
 def _check_full_length(seq, k: int) -> None:
@@ -152,46 +153,42 @@ def strided_conv(image: SfcImage, kernel: Kernel) -> np.ndarray:
     """
     if kernel.order >= image.order:
         raise ValueError(f"kernel order {kernel.order} must be < image order {image.order}")
-    return _conv(image.pixels, kernel)
+    m = 1 << (image.order - kernel.order)
+    return np.einsum("ibjc,bc->ij", image.pixels.reshape(m, kernel.side, m, kernel.side), kernel.weights)
 
 
-def _conv(pixels: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """:func:`strided_conv` of a stack ``(..., n, n)`` of grids, one einsum for all.
+def _read_index(kind: CurveKind, k: int, l: int) -> np.ndarray:
+    """intp ``reads[b, u, c]``: the sample that kernel tap (b, c) of output u reads.
 
-    einsum loops in memory order; on a C-contiguous stack the stack axes
-    coalesce with the block-row axis, so each output cell sums in the same
-    order as for a single grid.
+    The tap is row b, column c of the 2^l x 2^l block at the order-(k-l) point u:
+    ``reads[b, u, c] = inverse_k[ys_{k-l}[u]*2^l + b, xs_{k-l}[u]*2^l + c]``.
     """
-    pixels = np.ascontiguousarray(pixels)
-    b = kernel.side
-    m = pixels.shape[-1] // b
-    blocks = pixels.reshape(*pixels.shape[:-2], m, b, m, b)
-    return np.einsum("...ibjc,bc->...ij", blocks, kernel.weights)
+    coarse = get_curve(kind, k - l)
+    taps = np.arange(1 << l)
+    rows = (coarse.ys.astype(np.intp) << l) + taps[:, None]
+    cols = (coarse.xs.astype(np.intp) << l)[:, None] + taps
+    return get_curve(kind, k).inverse[rows[:, :, None], cols].astype(np.intp)
 
 
 def _shift_differences(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray, shifts) -> np.ndarray:
     """max |arm A - arm B| for each rotation multiplier in ``shifts``; ``shifts[0]`` must be 0.
 
-    Arm A for shift d rotates ``seq`` by d*4^l, folds it at order k,
-    convolves and reads back at order k-l, so pixel cell c holds
-    ``seq[(inverse_k[c] + d*4^l) mod 4^k]``: one integer gather per block
-    of shifts. Arm B rotates the arm of ``shifts[0] = 0`` by d. Arms run
-    in blocks of at most ``_SWEEP_BLOCK`` pixel cells, at least one shift
-    each, which bounds memory at any order.
+    Arm A for shift d rotates ``seq`` by d*4^l and runs the pipeline, so
+    its output u is the sum over taps (b, c) of ``weights[b, c] *
+    seq[(reads[b, u, c] + d*4^l) mod 4^k]``: one gather through
+    :func:`_read_index` and one einsum per block of shifts. Arm B rotates
+    the arm of ``shifts[0] = 0`` by d. Blocks read at most ``_SWEEP_BLOCK``
+    samples, at least one shift each, which bounds memory at any order.
     """
-    l = kernel.order
-    n = 1 << k
-    inverse = get_curve(kind, k).inverse.reshape(-1).astype(np.intp)  # take runs 1.5x faster on intp
-    coarse = get_curve(kind, k - l).perm
+    reads = _read_index(kind, k, kernel.order)
     shifts = np.asarray(shifts, dtype=np.intp)
-    rotated_seq = _rotations(seq, 1 << (2 * l))
-    step = max(1, _SWEEP_BLOCK // (n * n))
+    rotated_seq = _rotations(seq, 1 << (2 * kernel.order))
+    step = max(1, _SWEEP_BLOCK // reads.size)
     diffs = np.empty(shifts.size)
     rotated_base = None
     for start in range(0, shifts.size, step):
         ds = shifts[start:start + step]
-        pixels = np.take(rotated_seq[ds], inverse, axis=1)
-        arms = _conv(pixels.reshape(ds.size, n, n), kernel).reshape(ds.size, -1)[:, coarse]
+        arms = np.einsum("...buc,bc->...u", np.take(rotated_seq[ds], reads, axis=1), kernel.weights)
         if rotated_base is None:  # arms[0] is the unshifted pipeline output
             rotated_base = _rotations(arms[0], 1)
         diffs[start:start + step] = np.abs(arms - rotated_base[ds]).max(axis=1)

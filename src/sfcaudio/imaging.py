@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -109,6 +110,7 @@ class MixupParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "rng_seed", operator.index(self.rng_seed))
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 

@@ -87,7 +87,7 @@ def _gap_stats(cmap: CurveMap, gap: int) -> GapStats:
 
 def worst_case_profile(cmap: CurveMap, gaps) -> LocalityReport:
     """Distance statistics for each gap, exact over all start indices."""
-    gaps = [int(g) for g in gaps]
+    gaps = [operator.index(g) for g in gaps]
     if not gaps:
         raise ValueError("gap list must not be empty")
     for g in gaps:

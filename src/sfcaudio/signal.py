@@ -10,6 +10,7 @@ around.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,11 +98,12 @@ class AudioClip:
     def _adopt(self, samples: np.ndarray, sample_rate) -> None:
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if int(sample_rate) <= 0:
+        sample_rate = operator.index(sample_rate)
+        if sample_rate <= 0:
             raise ValueError(f"sample rate must be positive, got {sample_rate}")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", int(sample_rate))
+        object.__setattr__(self, "sample_rate", sample_rate)
 
     @property
     def length(self) -> int:
@@ -117,6 +119,7 @@ class CenterParams:
     th: float = 0.0001
 
     def __post_init__(self):
+        object.__setattr__(self, "w", operator.index(self.w))
         if self.w <= 0:
             raise ValueError("window size w must be positive")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
@@ -131,6 +134,8 @@ class ShiftParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "max_shift", operator.index(self.max_shift))
+        object.__setattr__(self, "rng_seed", operator.index(self.rng_seed))
         if self.max_shift < 0:
             raise ValueError("max_shift must be nonnegative")
 

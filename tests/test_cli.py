@@ -762,7 +762,8 @@ LEMMA_PINS = {
 }
 
 
-@pytest.mark.parametrize("args", list(LEMMA_PINS), ids=["integer", "real", "all-curves-integer", "all-curves-real"])
+@pytest.mark.parametrize("args", list(LEMMA_PINS),
+                         ids=["integer", "real", "all-curves-integer", "all-curves-real"])
 def test_verify_lemma_bytes_are_pinned(tmp_path, runner, args):
     witness = tmp_path / "w.csv"
     result = runner.invoke(main, ["verify-lemma", *args, "--witness-out", str(witness)])

@@ -15,8 +15,10 @@ from sfcaudio.curves import (
     jump_positions,
     point_to_index,
 )
-from sfcaudio.equivariance import Kernel, check_equivariance, sweep_lemma
-from sfcaudio.locality import grid_distance
+from sfcaudio.equivariance import Kernel, check_equivariance, circular_shift, sweep_lemma
+from sfcaudio.imaging import MixupParams
+from sfcaudio.locality import grid_distance, worst_case_profile
+from sfcaudio.signal import AudioClip, CenterParams, ShiftParams
 
 ALL_KINDS = list(CurveKind)
 
@@ -484,8 +486,18 @@ def test_point_out_of_grid_rejected():
     lambda cm, v: check_equivariance(CurveKind.Z, 2, Kernel(1, np.ones((2, 2))), np.zeros(16), v),
     lambda cm, v: sweep_lemma(CurveKind.Z, [v + 1], [1], trials=1),
     lambda cm, v: sweep_lemma(CurveKind.Z, [2], [v], trials=1),
+    lambda cm, v: AudioClip(np.zeros(4), v),
+    lambda cm, v: AudioClip._own(np.zeros(4), v),
+    lambda cm, v: circular_shift(np.arange(4), v),
+    lambda cm, v: ShiftParams(v),
+    lambda cm, v: ShiftParams(0, rng_seed=v),
+    lambda cm, v: CenterParams(w=v),
+    lambda cm, v: MixupParams(rng_seed=v),
+    lambda cm, v: worst_case_profile(cm, [v]),
 ], ids=["build_curve", "index_to_point", "point_to_index.x", "point_to_index.y", "grid_distance.i",
-        "grid_distance.j", "check_equivariance.d", "sweep_lemma.k", "sweep_lemma.l"])
+        "grid_distance.j", "check_equivariance.d", "sweep_lemma.k", "sweep_lemma.l", "AudioClip.sample_rate",
+        "AudioClip._own.sample_rate", "circular_shift.r", "ShiftParams.max_shift", "ShiftParams.rng_seed",
+        "CenterParams.w", "MixupParams.rng_seed", "worst_case_profile.gaps"])
 def test_integer_arguments_refuse_floats(call):
     cm = build_curve(CurveKind.Z, 2)
     call(cm, cm.xs[2])  # a numpy integer (uint16 1) passes

@@ -134,6 +134,38 @@ def test_strided_conv_requires_smaller_kernel():
         strided_conv(image, Kernel(order=2, weights=np.zeros((4, 4))))
 
 
+# --- the read-index table ----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(CurveKind), ids=lambda kind: kind.name.lower())
+def test_read_index_is_the_folded_index_grid_read_at_the_coarse_curve(kind):
+    """reads[b, u, c] is the index that fold lays at row b, column c of output u's block."""
+    for k in range(2, 6):
+        pixels = fold(np.arange(1 << (2 * k)), kind, k).pixels
+        for l in range(1, k):
+            m, side = 1 << (k - l), 1 << l
+            coarse = get_curve(kind, k - l)
+            want = pixels.reshape(m, side, m, side)[coarse.ys, :, coarse.xs, :]  # [u, b, c]
+            reads = equivariance._read_index(kind, k, l)
+            assert reads.dtype == np.intp and reads.shape == (side, m * m, side)
+            assert np.array_equal(reads, want.transpose(1, 0, 2)), (k, l)
+
+
+def read_offsets(kind, k, l):
+    """D(u) = reads[:, u, :] - u*4^l mod 4^k: where output u reads, relative to its own stride."""
+    reads = equivariance._read_index(kind, k, l)
+    return (reads - (np.arange(reads.shape[1]) << (2 * l))[:, None]) % (1 << (2 * k))
+
+
+def test_z_reads_every_output_at_the_same_offsets():
+    """Equal offsets make every z check equal by construction, for any input; hilbert's differ."""
+    for k in range(2, 9):
+        for l in range(1, k):
+            z = read_offsets(CurveKind.Z, k, l)
+            assert (z == z[:, :1]).all(), (k, l)
+            hilbert = read_offsets(CurveKind.HILBERT, k, l)
+            assert not (hilbert == hilbert[:, :1]).all(), (k, l)
+
+
 # --- single checks ----------------------------------------------------------------
 
 def test_check_matches_naive_pipeline():
