@@ -2,12 +2,12 @@
 
 Eight curve families are supported, each realized as an exact bijection
 between linear indices [0, 4^k) and grid points. :func:`build_curve`
-builds the forward tables ``xs``/``ys``; ``perm`` and ``inverse`` are
-derived from them on first use, so index/point lookups are plain array
-reads. This module alone computes how an index maps to a pixel; other
-modules only read its tables: image grids are built with
-:meth:`CurveMap.scatter`, and the equivariance checks gather from
-``inverse`` at the points ``xs``/``ys`` of a coarser order.
+builds the forward tables ``xs``/``ys``; ``inverse`` is derived from them
+on first use, so index/point lookups are plain array reads. This module
+alone computes how an index maps to a pixel; other modules only read its
+tables: image grids gather samples through ``inverse``, and the
+equivariance checks gather from ``inverse`` at the points ``xs``/``ys``
+of a coarser order.
 
 Coordinates follow image conventions: ``x`` is the column, ``y`` is the
 row, origin at the top-left corner.
@@ -51,25 +51,15 @@ class CurveKind(enum.IntEnum):
 class CurveMap:
     """Precomputed bijection for one (kind, order) pair.
 
-    ``xs[t]``/``ys[t]`` give the grid point visited at linear index t and
-    ``perm[t] = ys[t] * n + xs[t]`` is its flat cell in a row-major n x n
-    grid; ``inverse[y, x]`` gives the linear index of a grid point. Both
-    are derived from ``xs``/``ys`` on first use. Arrays are read-only.
+    ``xs[t]``/``ys[t]`` give the grid point visited at linear index t;
+    ``inverse[y, x]`` gives the linear index of a grid point and is derived
+    from ``xs``/``ys`` on first use. Arrays are read-only.
     """
 
     kind: CurveKind
     order: int
     xs: np.ndarray
     ys: np.ndarray
-
-    @functools.cached_property
-    def perm(self) -> np.ndarray:
-        """intp ``ys * n + xs``, built on first use (numpy converts other index dtypes per call)."""
-        perm = self.ys.astype(np.intp)
-        perm *= self.n
-        perm += self.xs
-        perm.flags.writeable = False
-        return perm
 
     @functools.cached_property
     def inverse(self) -> np.ndarray:
@@ -80,20 +70,6 @@ class CurveMap:
             inverse[self.ys[start:stop], self.xs[start:stop]] = np.arange(start, stop, dtype=np.uint32)
         inverse.flags.writeable = False
         return inverse
-
-    def scatter(self, seq) -> np.ndarray:
-        """float64 n x n grid holding ``seq[t]`` at the point of index t.
-
-        ``seq`` may be shorter than the curve; the cells it does not reach
-        stay zero.
-        """
-        if len(seq) > self.size:
-            raise ValueError(
-                f"sequence of {len(seq)} values exceeds {self.size} cells at order {self.order}"
-            )
-        grid = np.zeros(self.size, dtype=np.float64)
-        grid[self.perm[: len(seq)]] = seq
-        return grid.reshape(self.n, self.n)
 
     @property
     def n(self) -> int:
@@ -363,7 +339,7 @@ def build_curve(kind: CurveKind, order: int) -> CurveMap:
     are O(4^order). At the top order 13 the tables hold 67M cells each
     (0.27 GB of uint16 together) and a build peaked at 498-509 MiB resident
     (VmHWM of a fresh process, hilbert and optr) in 0.2-0.9 s on a 2-core
-    x86-64 host with numpy 2.4. ``perm`` and ``inverse`` are not built here.
+    x86-64 host with numpy 2.4. ``inverse`` is not built here.
     """
     kind = CurveKind(kind)
     order = _check_order(order)

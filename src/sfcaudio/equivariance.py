@@ -170,7 +170,7 @@ def _read_index(kind: CurveKind, k: int, l: int) -> np.ndarray:
     return get_curve(kind, k).inverse[rows[:, :, None], cols].astype(np.intp)
 
 
-def _shift_differences(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray, shifts) -> np.ndarray:
+def _shift_differences(reads: np.ndarray, kernel: Kernel, seq: np.ndarray, shifts) -> np.ndarray:
     """max |arm A - arm B| for each rotation multiplier in ``shifts``; ``shifts[0]`` must be 0.
 
     Arm A for shift d rotates ``seq`` by d*4^l and runs the pipeline, so
@@ -180,7 +180,6 @@ def _shift_differences(kind: CurveKind, k: int, kernel: Kernel, seq: np.ndarray,
     the arm of ``shifts[0] = 0`` by d. Blocks read at most ``_SWEEP_BLOCK``
     samples, at least one shift each, which bounds memory at any order.
     """
-    reads = _read_index(kind, k, kernel.order)
     shifts = np.asarray(shifts, dtype=np.intp)
     rotated_seq = _rotations(seq, 1 << (2 * kernel.order))
     step = max(1, _SWEEP_BLOCK // reads.size)
@@ -227,7 +226,7 @@ def check_equivariance(
         raise ValueError(f"shift multiplier d={d} outside [0, {out_len})")
     _check_full_length(seq, k)
     _check_finite(seq)
-    return _witness(kind, k, l, d, seed, _shift_differences(kind, k, kernel, seq, [0, d])[1])
+    return _witness(kind, k, l, d, seed, _shift_differences(_read_index(kind, k, l), kernel, seq, [0, d])[1])
 
 
 def _witness(kind, k, l, d, seed, diff) -> EquivarianceWitness:
@@ -289,10 +288,11 @@ def sweep_lemma(
 
     cells = []
     for (k, l), seeds in zip(pairs, trial_seeds.tolist()):
+        reads = _read_index(kind, k, l)
         diffs = np.empty((trials, 1 << (2 * (k - l))))
         for row, trial_seed in zip(diffs, seeds):
             seq, kernel = _draw_inputs(np.random.default_rng(trial_seed), k, l, real_valued)
-            row[:] = _shift_differences(kind, k, kernel, seq, np.arange(row.size))
+            row[:] = _shift_differences(reads, kernel, seq, np.arange(row.size))
         failed = np.flatnonzero(diffs)
 
         def witness(flat):  # flat indexes diffs in row-major order: trial t, shift d

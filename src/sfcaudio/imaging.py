@@ -2,7 +2,8 @@
 
 An image keeps a clip in space-filling-curve order, zero-padded to 4^k
 samples, with its original length so decoding is exact; its 2^k x 2^k grid
-is scattered only when first read. Mixup blends images with a Beta weight.
+is gathered through the curve's ``inverse`` only when first read. Mixup
+blends images with a Beta weight.
 Images serialize as 16-bit PGM (lossy) or ".sfci" (lossless, curve order).
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import MAX_ORDER, CurveKind, get_curve
+from .curves import MAX_ORDER, CurveKind, _check_order, get_curve
 from .signal import _BLOCK, DEFAULT_SAMPLE_RATE, AudioClip, _check_finite, _first_non_finite
 
 RAW_MAGIC = b"SFCI"
@@ -34,11 +35,9 @@ class RawFormatError(ValueError):
         self.offset = offset
 
 
-def _check_fields(kind, order: int, length: int, seq: np.ndarray) -> tuple[CurveKind, int]:
-    """Check an image's fields against the 1-D sequence ``seq``; returns the curve and 4^order."""
-    kind = CurveKind(kind)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+def _check_fields(kind, order: int, length: int, seq: np.ndarray) -> tuple[CurveKind, int, int, int]:
+    """Check an image's fields against the 1-D sequence ``seq``; returns them, ints as int, and 4^order."""
+    kind, order, length = CurveKind(kind), _check_order(order), operator.index(length)
     cells = 1 << (2 * order)
     if seq.ndim != 1:
         raise ValueError(f"samples must be 1-D, got shape {seq.shape}")
@@ -46,7 +45,7 @@ def _check_fields(kind, order: int, length: int, seq: np.ndarray) -> tuple[Curve
         raise ValueError(f"sequence of {seq.size} values exceeds {cells} cells at order {order}")
     if not 0 <= length <= cells:
         raise ValueError(f"length {length} outside [0, {cells}]")
-    return kind, cells
+    return kind, order, length, cells
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,13 @@ class SfcImage:
 
     def __post_init__(self):
         seq = np.asarray(self.samples)
-        kind, cells = _check_fields(self.kind, self.order, self.length, seq)
+        kind, order, length, cells = _check_fields(self.kind, self.order, self.length, seq)
         samples = np.zeros(cells, dtype=np.float64)
         samples[: seq.size] = seq  # the one owned copy; callers cannot alias it
         _check_finite(samples)
         samples.flags.writeable = False
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "samples", samples)
+        for name, value in (("kind", kind), ("order", order), ("length", length), ("samples", samples)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _own(cls, kind: CurveKind, order: int, length: int, samples: np.ndarray) -> SfcImage:
@@ -82,7 +81,7 @@ class SfcImage:
         frozen, not copied, padded or scanned. The caller must keep no
         writeable view of ``samples``.
         """
-        kind, cells = _check_fields(kind, order, length, samples)
+        kind, order, length, cells = _check_fields(kind, order, length, samples)
         if samples.size != cells or samples.dtype != np.float64:
             raise ValueError(f"expected {cells} float64 samples, got "
                              f"{samples.size} of {samples.dtype}")
@@ -94,8 +93,8 @@ class SfcImage:
 
     @functools.cached_property
     def pixels(self) -> np.ndarray:
-        """float64 n x n grid, scattered along the curve on first read."""
-        pixels = get_curve(self.kind, self.order).scatter(self.samples)
+        """float64 n x n grid, gathered through the curve's ``inverse`` on first read."""
+        pixels = self.samples[get_curve(self.kind, self.order).inverse]
         pixels.flags.writeable = False
         return pixels
 
@@ -117,7 +116,7 @@ class MixupParams:
 
 def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
     """Lay a clip out along the curve; pads the tail with zeros."""
-    _, cells = _check_fields(kind, order, clip.length, clip.samples)  # before the 4^k allocation
+    cells = _check_fields(kind, order, clip.length, clip.samples)[3]  # before the 4^k allocation
     samples = np.zeros(cells, dtype=np.float64)
     samples[: clip.length] = clip.samples  # a clip's samples are finite
     return SfcImage._own(kind, order, clip.length, samples)

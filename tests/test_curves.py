@@ -16,7 +16,7 @@ from sfcaudio.curves import (
     point_to_index,
 )
 from sfcaudio.equivariance import Kernel, check_equivariance, circular_shift, sweep_lemma
-from sfcaudio.imaging import MixupParams
+from sfcaudio.imaging import MixupParams, SfcImage
 from sfcaudio.locality import grid_distance, worst_case_profile
 from sfcaudio.signal import AudioClip, CenterParams, ShiftParams
 
@@ -410,11 +410,11 @@ def test_get_curve_caches():
 
 def test_tables_are_readonly():
     cm = build_curve(CurveKind.Z, 2)
-    assert "perm" not in cm.__dict__ and "inverse" not in cm.__dict__  # built on first use
-    for table in (cm.xs, cm.ys, cm.perm, cm.inverse):
+    assert "inverse" not in cm.__dict__  # built on first use
+    for table in (cm.xs, cm.ys, cm.inverse):
         with pytest.raises(ValueError):
             table[0] = 1
-    assert "perm" in cm.__dict__ and "inverse" in cm.__dict__
+    assert "inverse" in cm.__dict__
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -424,34 +424,24 @@ def test_blockwise_inverse_matches_one_shot(kind, monkeypatch):
     want = np.empty((cm.n, cm.n), dtype=np.uint32)
     want[cm.ys, cm.xs] = np.arange(cm.size, dtype=np.uint32)
     inverse = cm.inverse
-    assert "perm" not in cm.__dict__  # filled straight from the tables
     assert inverse.dtype == np.uint32 and inverse.shape == (cm.n, cm.n)
     assert np.array_equal(inverse, want)
     assert not inverse.flags.writeable
 
 
-# --- scatter -------------------------------------------------------------------
+# --- image grids ---------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("k", range(1, 9))
 def test_scatter_gather_match_coordinate_tables(kind, k):
     cm = build_curve(kind, k)
     seq = np.random.default_rng(k).standard_normal(cm.size)
-    want = np.empty((cm.n, cm.n))
-    want[cm.ys, cm.xs] = seq
-    grid = cm.scatter(seq)
-    assert grid.dtype == np.float64 and np.array_equal(grid, want)
-    # a short sequence fills its own cells and leaves the rest zero
-    m = cm.size // 3 + 1
-    want_short = np.zeros((cm.n, cm.n))
-    want_short[cm.ys[:m], cm.xs[:m]] = seq[:m]
-    assert np.array_equal(cm.scatter(seq[:m]), want_short)
-
-
-def test_scatter_rejects_a_sequence_longer_than_the_grid():
-    cm = build_curve(CurveKind.HILBERT, 2)
-    with pytest.raises(ValueError, match="exceeds"):
-        cm.scatter(np.zeros(17))
+    # a full sequence, then a short one that fills its own cells and leaves the rest zero
+    for m in (cm.size, cm.size // 3 + 1):
+        want = np.zeros((cm.n, cm.n))
+        want[cm.ys[:m], cm.xs[:m]] = seq[:m]
+        grid = SfcImage(kind, k, m, seq[:m]).pixels
+        assert grid.dtype == np.float64 and np.array_equal(grid, want)
 
 
 # --- validation ----------------------------------------------------------------

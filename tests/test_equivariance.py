@@ -298,7 +298,8 @@ def test_sweep_matches_check_loop(kind, k, l, real_valued, monkeypatch):
 
 def test_sweep_memory_is_bounded_by_the_block():
     """One trial at k=7, l=1 runs 4096 arms of 16384 cells; blocks keep it to a few MiB."""
-    get_curve(CurveKind.Z, 7).inverse, get_curve(CurveKind.Z, 6).perm  # tables outside the trace
+    # the sweep reads the order-7 inverse and the order-6 xs/ys; build them outside the trace
+    get_curve(CurveKind.Z, 7).inverse, get_curve(CurveKind.Z, 6)
     tracemalloc.start()
     try:
         sweep = sweep_lemma(CurveKind.Z, [7], [1], trials=1, seed=0)

@@ -132,6 +132,16 @@ def test_image_validation():
         SfcImage(CurveKind.Z, 2, -1, good)
 
 
+def test_image_fields_are_python_ints():
+    with pytest.raises(TypeError):
+        SfcImage(CurveKind.Z, 2, 3.7, np.zeros(3))
+    with pytest.raises(TypeError):
+        SfcImage(CurveKind.Z, 2.0, 3, np.zeros(3))
+    image = SfcImage(CurveKind.Z, np.int64(2), np.int64(3), np.zeros(3))
+    assert type(image.order) is int and type(image.length) is int
+    assert image.length == 3 and decode(image).length == 3
+
+
 def test_image_pixels_immutable():
     image, _ = make_image()
     with pytest.raises(ValueError):
