@@ -116,7 +116,7 @@ class MixupParams:
 
 def encode(clip: AudioClip, kind: CurveKind, order: int) -> SfcImage:
     """Lay a clip out along the curve; pads the tail with zeros."""
-    cells = _check_fields(kind, order, clip.length, clip.samples)[3]  # before the 4^k allocation
+    *_, cells = _check_fields(kind, order, clip.length, clip.samples)  # before the 4^k allocation
     samples = np.zeros(cells, dtype=np.float64)
     samples[: clip.length] = clip.samples  # a clip's samples are finite
     return SfcImage._own(kind, order, clip.length, samples)
