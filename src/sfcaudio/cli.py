@@ -6,6 +6,10 @@ read or written prints ``path: reason`` through ``_failing``), 2 usage error
 touched; a check spanning two options is raised by the command body), 3
 verification failure in ``verify-lemma``.
 
+``encode`` and ``mixup`` run their items in one process per CPU of the
+affinity mask (``taskset`` limits it) and write the same files, manifest,
+stdout and stderr as a single process does.
+
 Environment override: SFCAUDIO_LOG_LEVEL.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import logging
 import os
@@ -87,29 +92,37 @@ def _params(build):
     return callback
 
 
-def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
-    """Run each ``(label, job)`` of a batch, write its image, record a manifest row.
+def _worker_count() -> int:
+    """The CPUs this process may run on: the process count of ``encode`` and ``mixup``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    ``job(row)`` fills its fields of a blank row and returns ``(image,
-    dest)``; the image is written as .sfci or, for any other suffix, .pgm.
-    A ValueError (WavError and RawFormatError are ones) or an OSError makes
-    the item an error row and the exit status 1, and the batch goes on.
+
+def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
+    """Run each ``(label, dest, *args)`` item of a batch through ``_run_items``, then write the manifest.
+
+    The items run in ``_worker_count()`` processes, capped at the item
+    count, in about 8 chunks per process; one process means one chunk run
+    here, with no pool. The rows come back in input order. Here each error
+    row is logged as ``label: message``, then the manifest, the summary
+    line and the exit status (1 if any item failed) are written.
     """
     with _failing(out):
         out.mkdir(parents=True, exist_ok=True)
+    workers = min(_worker_count(), len(items))
+    size = -(-len(items) // (8 * workers)) if workers > 1 else len(items)
+    chunks = [[args for _, *args in items[i : i + size]] for i in range(0, len(items), size)]
     rows = []
-    for label, job in jobs:
-        row = dict.fromkeys(MANIFEST_FIELDS, "")
-        try:
-            image, dest = job(row)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            (export_raw if dest.suffix == ".sfci" else export_pgm)(image, dest)
-            row.update(output=os.path.relpath(dest, out), status="ok")
-        except (ValueError, OSError) as exc:
-            message = str(exc)  # a WavError message already starts with the file's path
-            logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
-            row.update(status="error", error=message)
-        rows.append(row)
+    with _chunk_map(workers) as run_all:
+        for chunk_rows in run_all(functools.partial(_run_items, job, out), chunks):
+            for row in chunk_rows:
+                label = items[len(rows)][0]
+                if row["status"] == "error":
+                    message = row["error"]  # a WavError message already starts with the file's path
+                    logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
+                rows.append(row)
     manifest = out / "manifest.csv"
     with _failing(manifest), open(manifest, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
@@ -120,6 +133,89 @@ def _run_batch(out: Path, jobs, verb: str, noun: str) -> None:
     if failed:
         click.echo(f"{failed} {noun} failed; see manifest.csv error rows", err=True)
         sys.exit(EXIT_INPUT)
+
+
+@contextlib.contextmanager
+def _chunk_map(workers: int):
+    """Yield ``map``, or for more than one worker the map of a pool of that many processes.
+
+    The pool uses the platform's default start method (fork on Linux) and
+    is shut down on exit, dropping the chunks no worker has taken yet.
+    """
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor  # about 15 ms to import, so only for a pool
+
+    pool = ProcessPoolExecutor(workers)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_items(job, out: Path, chunk: list) -> list[dict]:
+    """Run a chunk of ``(dest, *args)`` batch items in order, in a pool worker or here: their rows.
+
+    ``job(row, *args)`` fills its fields of a blank row and returns the
+    image, written to ``dest`` as .sfci or, for any other suffix, .pgm. A
+    ValueError (WavError and RawFormatError are ones) or an OSError makes
+    the row an error row and does not stop the chunk.
+    """
+    rows = []
+    for dest, *args in chunk:
+        row = dict.fromkeys(MANIFEST_FIELDS, "")
+        try:
+            # The last image is freed only once the next one is built: freeing it
+            # first lets glibc trim the heap top and fault it back in for every
+            # order-7 item (110k against 15k minor faults over 990 mixup pairs).
+            image = job(row, *args)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            (export_raw if dest.suffix == ".sfci" else export_pgm)(image, dest)
+            row.update(output=os.path.relpath(dest, out), status="ok")
+        except (ValueError, OSError) as exc:
+            row.update(status="error", error=str(exc))
+        rows.append(row)
+    return rows
+
+
+@dataclasses.dataclass(frozen=True)
+class _Encoding:
+    """The settings every encode item shares; small, so each chunk sent to a worker carries it."""
+
+    out: Path
+    kind: CurveKind
+    order: int
+    cparams: CenterParams | None
+    shift_args: tuple[int, int] | None
+
+
+def _convert(how: _Encoding, row: dict, index: int, path: Path):
+    """Load, center and shift the file at ``path``, fill its row and return its image."""
+    row.update(input=os.path.relpath(path, how.out), curve=how.kind.name.lower(), order=how.order)
+    clip = load_wav(path)
+    row["length"] = clip.length
+    if how.cparams is not None:
+        clip = center(clip, how.cparams)
+        row.update(center_w=how.cparams.w, center_sigma=f"{how.cparams.sigma:g}",
+                   center_th=f"{how.cparams.th:g}")
+    if how.shift_args is not None:
+        max_shift, master_seed = how.shift_args
+        if max_shift < 0:
+            max_shift = clip.length // 4
+        file_seed = int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
+        clip = random_shift(clip, ShiftParams(max_shift=max_shift, rng_seed=file_seed))
+        row.update(shift_max=max_shift, shift_seed=file_seed)
+    return encode_clip(clip, how.kind, how.order)
+
+
+def _blend(out: Path, params: MixupParams, row: dict, lam: float, path_a: Path, path_b: Path):
+    """Blend two .sfci files with weight ``lam``, fill the pair's row and return the blend."""
+    row.update(input=os.path.relpath(path_a, out), mixup_partner=os.path.relpath(path_b, out))
+    mixed, lam = mix_images(import_raw(path_a), import_raw(path_b), params, lam=lam)
+    row.update(curve=mixed.kind.name.lower(), order=mixed.order, length=mixed.length,
+               mixup_lambda=f"{lam:.17g}")
+    return mixed
 
 
 @contextlib.contextmanager
@@ -178,24 +274,10 @@ def encode_cmd(source: Path, curve, order, cparams, shift_args, fmt, out: Path):
         click.echo(f"no .wav files under {source}", err=True)
         sys.exit(EXIT_INPUT)
 
-    def convert(index, path, row):
-        row.update(input=os.path.relpath(path, out), curve=kind.name.lower(), order=order)
-        clip = load_wav(path)
-        row["length"] = clip.length
-        if cparams is not None:
-            clip = center(clip, cparams)
-            row.update(center_w=cparams.w, center_sigma=f"{cparams.sigma:g}", center_th=f"{cparams.th:g}")
-        if shift_args is not None:
-            max_shift, master_seed = shift_args
-            if max_shift < 0:
-                max_shift = clip.length // 4
-            file_seed = int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
-            clip = random_shift(clip, ShiftParams(max_shift=max_shift, rng_seed=file_seed))
-            row.update(shift_max=max_shift, shift_seed=file_seed)
-        return encode_clip(clip, kind, order), out / Path(os.path.relpath(path, root)).with_suffix("." + fmt)
-
-    jobs = ((path, functools.partial(convert, index, path)) for index, path in enumerate(inputs))
-    _run_batch(out, jobs, "converted", "file(s)")
+    items = [(path, out / Path(os.path.relpath(path, root)).with_suffix("." + fmt), index, path)
+             for index, path in enumerate(inputs)]
+    how = _Encoding(out, kind, order, cparams, shift_args)
+    _run_batch(out, functools.partial(_convert, how), items, "converted", "file(s)")
 
 
 @main.command("decode")
@@ -238,17 +320,13 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
     if len(usable) % 2:
         logger.info("odd row count; leaving one file unmixed")
 
-    def blend(j, row):
+    items = []
+    for j in range(pair_count):
         path_a = base / usable[perm[2 * j]]["output"]
         path_b = base / usable[perm[2 * j + 1]]["output"]
-        row.update(input=os.path.relpath(path_a, out), mixup_partner=os.path.relpath(path_b, out))
-        mixed, lam = mix_images(import_raw(path_a), import_raw(path_b), params, lam=float(lams[j]))
-        row.update(curve=mixed.kind.name.lower(), order=mixed.order, length=mixed.length,
-                   mixup_lambda=f"{lam:.17g}")
-        return mixed, out / f"mix{j:04d}_{path_a.stem}__{path_b.stem}.sfci"
-
-    jobs = ((f"pair {j}", functools.partial(blend, j)) for j in range(pair_count))
-    _run_batch(out, jobs, "mixed", "pair(s)")
+        dest = out / f"mix{j:04d}_{path_a.stem}__{path_b.stem}.sfci"
+        items.append((f"pair {j}", dest, float(lams[j]), path_a, path_b))
+    _run_batch(out, functools.partial(_blend, out, params), items, "mixed", "pair(s)")
 
 
 @main.command("curve-table")

@@ -85,6 +85,11 @@ class CurveMap:
         return self.size
 
 
+def _check_kind(kind: CurveKind) -> CurveKind:
+    # operator.index first: CurveKind(1.0) would be CurveKind.Z
+    return CurveKind(operator.index(kind))
+
+
 def _check_order(order: int) -> int:
     order = operator.index(order)
     if not 1 <= order <= MAX_ORDER:
@@ -341,7 +346,7 @@ def build_curve(kind: CurveKind, order: int) -> CurveMap:
     (VmHWM of a fresh process, hilbert and optr) in 0.2-0.9 s on a 2-core
     x86-64 host with numpy 2.4. ``inverse`` is not built here.
     """
-    kind = CurveKind(kind)
+    kind = _check_kind(kind)
     order = _check_order(order)
     xs, ys = _BUILDERS[kind](order)
     xs.flags.writeable = False
@@ -349,10 +354,23 @@ def build_curve(kind: CurveKind, order: int) -> CurveMap:
     return CurveMap(kind=kind, order=order, xs=xs, ys=ys)
 
 
-@functools.lru_cache(maxsize=16)
 def get_curve(kind: CurveKind, order: int) -> CurveMap:
-    """Memoized :func:`build_curve`; maps are immutable so sharing is safe."""
-    return build_curve(CurveKind(kind), order)
+    """Memoized :func:`build_curve`; maps are immutable so sharing is safe.
+
+    The arguments are checked before the cache is read: it keys on equality,
+    and 1.0 == CurveKind.Z.
+    """
+    return _cached_curve(_check_kind(kind), _check_order(order))
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_curve(kind: CurveKind, order: int) -> CurveMap:
+    return build_curve(kind, order)
+
+
+# the cache is still read and reset through get_curve
+get_curve.cache_info = _cached_curve.cache_info
+get_curve.cache_clear = _cached_curve.cache_clear
 
 
 def index_to_point(cmap: CurveMap, t: int) -> tuple[int, int]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .curves import CurveKind, get_curve
+from .curves import CurveKind, _check_kind, get_curve
 from .imaging import SfcImage
 from .signal import _check_finite, _first_non_finite
 
@@ -215,7 +215,7 @@ def check_equivariance(
     rotates the unshifted pipeline output by d; the check holds only if
     they are equal. ``seed`` is carried into the witness untouched.
     """
-    kind = CurveKind(kind)
+    kind = _check_kind(kind)
     d = operator.index(d)
     seq = np.asarray(seq, dtype=np.float64)
     l = kernel.order
@@ -280,7 +280,7 @@ def sweep_lemma(
     difference) and the first failing one. Any witness can be replayed
     from its recorded seed.
     """
-    kind = CurveKind(kind)
+    kind = _check_kind(kind)
     pairs = [(k, l) for k in map(operator.index, k_range) for l in map(operator.index, l_range) if l < k]
     if not pairs or trials < 1:
         raise ValueError("need at least one (k, l) pair with l < k and trials >= 1")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import MAX_ORDER, CurveKind, _check_order, get_curve
+from .curves import MAX_ORDER, CurveKind, _check_kind, _check_order, get_curve
 from .signal import _BLOCK, DEFAULT_SAMPLE_RATE, AudioClip, _check_finite, _first_non_finite
 
 RAW_MAGIC = b"SFCI"
@@ -37,14 +37,14 @@ class RawFormatError(ValueError):
 
 def _check_fields(kind, order: int, length: int, seq: np.ndarray) -> tuple[CurveKind, int, int, int]:
     """Check an image's fields against the 1-D sequence ``seq``; returns them, ints as int, and 4^order."""
-    kind, order, length = CurveKind(kind), _check_order(order), operator.index(length)
+    kind, order, length = _check_kind(kind), _check_order(order), operator.index(length)
     cells = 1 << (2 * order)
     if seq.ndim != 1:
         raise ValueError(f"samples must be 1-D, got shape {seq.shape}")
     if seq.size > cells:
         raise ValueError(f"sequence of {seq.size} values exceeds {cells} cells at order {order}")
-    if not 0 <= length <= cells:
-        raise ValueError(f"length {length} outside [0, {cells}]")
+    if not 0 <= length <= seq.size:  # a length past the given samples would decode padding
+        raise ValueError(f"length {length} outside [0, {seq.size}]")
     return kind, order, length, cells
 
 

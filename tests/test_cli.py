@@ -561,9 +561,8 @@ PINNED_TREES = {
 }
 
 
-def test_encode_and_mixup_outputs_are_pinned(tmp_path, runner):
-    """Manifests, images and summaries of a seeded run, with centering, shifts and a bad file."""
-    src = tmp_path / "src"
+def write_pinned_corpus(src):
+    """Five seeded 600-sample clips in two directories, plus one bad file."""
     rng = np.random.default_rng(12)
     for i, name in enumerate(("a.wav", "sub/b.wav", "sub/c.wav", "d.wav", "e.wav")):
         samples = np.zeros(600)
@@ -571,6 +570,12 @@ def test_encode_and_mixup_outputs_are_pinned(tmp_path, runner):
         (src / name).parent.mkdir(parents=True, exist_ok=True)
         save_wav(AudioClip(samples), src / name)
     (src / "sub" / "bad.wav").write_bytes(b"RIFF junk")
+
+
+def test_encode_and_mixup_outputs_are_pinned(tmp_path, runner):
+    """Manifests, images and summaries of a seeded run, with centering, shifts and a bad file."""
+    src = tmp_path / "src"
+    write_pinned_corpus(src)
     stdout = {}
     for fmt in ("sfci", "pgm"):
         result = runner.invoke(main, [
@@ -591,6 +596,76 @@ def test_encode_and_mixup_outputs_are_pinned(tmp_path, runner):
         "mix": "mixed 2/2 pair(s) -> <tmp>/mix\n",
     }
     assert {name: tree_digest(tmp_path / name, tmp_path) for name in PINNED_TREES} == PINNED_TREES
+
+
+# --- the process pool of encode and mixup ------------------------------------------
+
+def batch_outcomes(runner, caplog, src, base):
+    """Tree digest, stdout, stderr, exit code and error log lines of encode .sfci, encode .pgm and mixup."""
+    commands = {
+        fmt: ["encode", str(src), "--curve", "hilbert", "--order", "5", "--format", fmt,
+              "--center", "100", "25", "0.0001", "--shift", "-1", "7"] for fmt in ("sfci", "pgm")
+    }
+    commands["mix"] = ["mixup", str(base / "sfci" / "manifest.csv"), "--alpha", "0.4", "--seed", "3"]
+    outcomes = {}
+    for name, argv in commands.items():
+        caplog.clear()
+        result = runner.invoke(main, argv + ["--out", str(base / name)])
+        outcomes[name] = (tree_digest(base / name, base), result.stdout.replace(str(base), "<out>"),
+                          result.stderr, result.exit_code, [r.getMessage() for r in caplog.records])
+    return outcomes
+
+
+@pytest.mark.parametrize("more_bad", [(), ("a0.wav", "c.wav", "sub/b0.wav", "sub/z.wav")],
+                         ids=["pinned-corpus", "more-bad-files"])
+def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, caplog, more_bad):
+    """Two workers give the files, manifests, output, error lines (in input order) and exit codes of one."""
+    import concurrent.futures
+
+    src = tmp_path / "src"
+    write_pinned_corpus(src)
+    for name in more_bad:  # interleaved with the good files, so a worker meets one early
+        (src / name).write_bytes(b"junk")
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    outcomes = {}
+    with caplog.at_level(logging.ERROR, logger="sfcaudio"):
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_worker_count", lambda n=workers: n)
+            outcomes[workers] = batch_outcomes(runner, caplog, src, tmp_path / f"w{workers}")
+    assert pools == [2, 2, 2]  # encode twice and mixup, each in one pool
+    assert outcomes[2] == outcomes[1]
+    bad = sorted(src / name for name in ("sub/bad.wav", *more_bad))
+    assert [line.split(": ", 1)[0] for line in outcomes[1]["sfci"][4]] == [str(p) for p in bad]
+    assert outcomes[1]["sfci"][3] == outcomes[1]["pgm"][3] == 1 and outcomes[1]["mix"][3] == 0
+
+
+def test_one_item_starts_no_pool(tmp_path, runner, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-item batch started a process pool")
+
+    write_clip(tmp_path / "src" / "one.wav", length=100)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_worker_count", lambda: 4)
+    argv = ["encode", str(tmp_path / "src" / "one.wav"), "--order", "4", "--out", str(tmp_path / "img")]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, all_output(result)
+    # nor is the pool's module imported by a one-file encode in a fresh process
+    code = ("import sys\nfrom sfcaudio.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert not exc.code, exc.code\n"
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *argv[:-1], str(tmp_path / "img2")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "False"), done.stderr
 
 
 # --- curve-table -----------------------------------------------------------------

@@ -484,15 +484,22 @@ def test_point_out_of_grid_rejected():
     lambda cm, v: CenterParams(w=v),
     lambda cm, v: MixupParams(rng_seed=v),
     lambda cm, v: worst_case_profile(cm, [v]),
+    lambda cm, v: build_curve(v, 2),
+    lambda cm, v: get_curve(v, 2),
+    lambda cm, v: SfcImage(v, 2, 3, np.zeros(3)),
+    lambda cm, v: check_equivariance(v, 2, Kernel(1, np.ones((2, 2))), np.zeros(16), 1),
+    lambda cm, v: sweep_lemma(v, [2], [1], trials=1),
 ], ids=["build_curve", "index_to_point", "point_to_index.x", "point_to_index.y", "grid_distance.i",
         "grid_distance.j", "check_equivariance.d", "sweep_lemma.k", "sweep_lemma.l", "AudioClip.sample_rate",
         "AudioClip._own.sample_rate", "circular_shift.r", "ShiftParams.max_shift", "ShiftParams.rng_seed",
-        "CenterParams.w", "MixupParams.rng_seed", "worst_case_profile.gaps"])
+        "CenterParams.w", "MixupParams.rng_seed", "worst_case_profile.gaps", "build_curve.kind",
+        "get_curve.kind", "SfcImage.kind", "check_equivariance.kind", "sweep_lemma.kind"])
 def test_integer_arguments_refuse_floats(call):
     cm = build_curve(CurveKind.Z, 2)
-    call(cm, cm.xs[2])  # a numpy integer (uint16 1) passes
-    with pytest.raises(TypeError):  # a float is refused, not truncated
-        call(cm, 1.5)
+    call(cm, cm.xs[2])  # a numpy integer (uint16 1) passes; as a curve id it is z
+    for value in (1.5, 1.0):  # a float is refused, not truncated, even when whole
+        with pytest.raises(TypeError):
+            call(cm, value)
 
 
 def test_kind_names_and_ids():

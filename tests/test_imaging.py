@@ -130,6 +130,8 @@ def test_image_validation():
         SfcImage(CurveKind.Z, 2, 17, good)
     with pytest.raises(ValueError, match="length"):
         SfcImage(CurveKind.Z, 2, -1, good)
+    with pytest.raises(ValueError, match=r"length 10 outside \[0, 3\]"):  # past the samples given
+        SfcImage(CurveKind.Z, 2, 10, np.zeros(3))
 
 
 def test_image_fields_are_python_ints():
