@@ -139,8 +139,10 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
 def _chunk_map(workers: int):
     """Yield ``map``, or for more than one worker the map of a pool of that many processes.
 
-    The pool uses the platform's default start method (fork on Linux) and
-    is shut down on exit, dropping the chunks no worker has taken yet.
+    The pool uses the platform's default start method. Under fork (Linux)
+    it starts every worker before its own threads, so a single-threaded
+    caller forks safely. It is shut down on exit, dropping the chunks no
+    worker has taken yet.
     """
     if workers == 1:
         yield map

@@ -646,6 +646,16 @@ def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, capl
     assert outcomes[1]["sfci"][3] == outcomes[1]["pgm"][3] == 1 and outcomes[1]["mix"][3] == 0
 
 
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert cli._worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on a platform without it
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert cli._worker_count() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count() == 1
+
+
 def test_one_item_starts_no_pool(tmp_path, runner, monkeypatch):
     import concurrent.futures
 
