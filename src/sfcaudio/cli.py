@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import functools
+import itertools
 import logging
 import os
 import sys
@@ -104,7 +104,7 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
     """Run each ``(label, dest, *args)`` item of a batch through ``_run_items``, then write the manifest.
 
     The items run in ``_worker_count()`` processes, capped at the item
-    count, in about 8 chunks per process; one process means one chunk run
+    count, in about 8 chunks per process; with one process the chunks run
     here, with no pool. The rows come back in input order. Here each error
     row is logged as ``label: message``, then the manifest, the summary
     line and the exit status (1 if any item failed) are written.
@@ -112,17 +112,16 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
     with _failing(out):
         out.mkdir(parents=True, exist_ok=True)
     workers = min(_worker_count(), len(items))
-    size = -(-len(items) // (8 * workers)) if workers > 1 else len(items)
-    chunks = [[args for _, *args in items[i : i + size]] for i in range(0, len(items), size)]
+    size = -(-len(items) // (8 * workers))
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     rows = []
     with _chunk_map(workers) as run_all:
-        for chunk_rows in run_all(functools.partial(_run_items, job, out), chunks):
-            for row in chunk_rows:
-                label = items[len(rows)][0]
-                if row["status"] == "error":
-                    message = row["error"]  # a WavError message already starts with the file's path
-                    logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
-                rows.append(row)
+        chunk_rows = run_all(functools.partial(_run_items, job, out), chunks)
+        for (label, *_), row in zip(items, itertools.chain.from_iterable(chunk_rows), strict=True):
+            if row["status"] == "error":
+                message = row["error"]  # a WavError message already starts with the file's path
+                logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
+            rows.append(row)
     manifest = out / "manifest.csv"
     with _failing(manifest), open(manifest, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
@@ -157,7 +156,7 @@ def _chunk_map(workers: int):
 
 
 def _run_items(job, out: Path, chunk: list) -> list[dict]:
-    """Run a chunk of ``(dest, *args)`` batch items in order, in a pool worker or here: their rows.
+    """Run a chunk of ``(label, dest, *args)`` batch items in order, in a pool worker or here: their rows.
 
     ``job(row, *args)`` fills its fields of a blank row and returns the
     image, written to ``dest`` as .sfci or, for any other suffix, .pgm. A
@@ -165,7 +164,7 @@ def _run_items(job, out: Path, chunk: list) -> list[dict]:
     the row an error row and does not stop the chunk.
     """
     rows = []
-    for dest, *args in chunk:
+    for _, dest, *args in chunk:
         row = dict.fromkeys(MANIFEST_FIELDS, "")
         try:
             # The last image is freed only once the next one is built: freeing it
@@ -181,34 +180,23 @@ def _run_items(job, out: Path, chunk: list) -> list[dict]:
     return rows
 
 
-@dataclasses.dataclass(frozen=True)
-class _Encoding:
-    """The settings every encode item shares; small, so each chunk sent to a worker carries it."""
-
-    out: Path
-    kind: CurveKind
-    order: int
-    cparams: CenterParams | None
-    shift_args: tuple[int, int] | None
-
-
-def _convert(how: _Encoding, row: dict, index: int, path: Path):
+def _convert(out: Path, kind: CurveKind, order: int, cparams: CenterParams | None,
+             shift_args: tuple[int, int] | None, row: dict, index: int, path: Path):
     """Load, center and shift the file at ``path``, fill its row and return its image."""
-    row.update(input=os.path.relpath(path, how.out), curve=how.kind.name.lower(), order=how.order)
+    row.update(input=os.path.relpath(path, out), curve=kind.name.lower(), order=order)
     clip = load_wav(path)
     row["length"] = clip.length
-    if how.cparams is not None:
-        clip = center(clip, how.cparams)
-        row.update(center_w=how.cparams.w, center_sigma=f"{how.cparams.sigma:g}",
-                   center_th=f"{how.cparams.th:g}")
-    if how.shift_args is not None:
-        max_shift, master_seed = how.shift_args
+    if cparams is not None:
+        clip = center(clip, cparams)
+        row.update(center_w=cparams.w, center_sigma=f"{cparams.sigma:g}", center_th=f"{cparams.th:g}")
+    if shift_args is not None:
+        max_shift, master_seed = shift_args
         if max_shift < 0:
             max_shift = clip.length // 4
         file_seed = int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
         clip = random_shift(clip, ShiftParams(max_shift=max_shift, rng_seed=file_seed))
         row.update(shift_max=max_shift, shift_seed=file_seed)
-    return encode_clip(clip, how.kind, how.order)
+    return encode_clip(clip, kind, order)
 
 
 def _blend(out: Path, params: MixupParams, row: dict, lam: float, path_a: Path, path_b: Path):
@@ -278,8 +266,8 @@ def encode_cmd(source: Path, curve, order, cparams, shift_args, fmt, out: Path):
 
     items = [(path, out / Path(os.path.relpath(path, root)).with_suffix("." + fmt), index, path)
              for index, path in enumerate(inputs)]
-    how = _Encoding(out, kind, order, cparams, shift_args)
-    _run_batch(out, functools.partial(_convert, how), items, "converted", "file(s)")
+    job = functools.partial(_convert, out, kind, order, cparams, shift_args)
+    _run_batch(out, job, items, "converted", "file(s)")
 
 
 @main.command("decode")

@@ -47,7 +47,7 @@ class CurveKind(enum.IntEnum):
             raise ValueError(f"unknown curve kind {name!r}; expected one of: {known}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveMap:
     """Precomputed bijection for one (kind, order) pair.
 

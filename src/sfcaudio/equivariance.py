@@ -40,7 +40,7 @@ WITNESS_CSV_HEADER = "kind,k,l,d,seed,max_abs_difference,holds"
 _SWEEP_BLOCK = 1 << 16  # samples read per block of pipeline arms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Square convolution weight block of side 2^order applied with equal stride."""
 

@@ -48,7 +48,7 @@ def _check_fields(kind, order: int, length: int, seq: np.ndarray) -> tuple[Curve
     return kind, order, length, cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SfcImage:
     """A clip laid out on a 2^k x 2^k grid, plus the metadata needed to invert it.
 

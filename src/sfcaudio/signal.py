@@ -66,7 +66,7 @@ def _check_finite(samples: np.ndarray) -> None:
         raise ValueError(f"non-finite sample {samples[bad]} at index {bad}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AudioClip:
     """Mono waveform. ``samples`` is an immutable vector of finite float64 values.
 

@@ -616,14 +616,22 @@ def batch_outcomes(runner, caplog, src, base):
     return outcomes
 
 
-@pytest.mark.parametrize("more_bad", [(), ("a0.wav", "c.wav", "sub/b0.wav", "sub/z.wav")],
-                         ids=["pinned-corpus", "more-bad-files"])
-def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, caplog, more_bad):
+@pytest.mark.parametrize("more_good, more_bad, bad_spots", [
+    (0, (), {(0, 1)}),
+    (0, ("a0.wav", "c.wav", "sub/b0.wav", "sub/z.wav"), {(0, 1)}),
+    # 48 items make chunks of 3 on 2 workers: n04b.wav and n21b.wav end one, sub/bad.wav sits mid-chunk;
+    # the 400-sample clips cannot blend with the 600-sample ones, so mixup writes error rows as well
+    (40, ("n04b.wav", "n21b.wav"), {(1, 3), (2, 3)}),
+], ids=["pinned-corpus", "more-bad-files", "chunks-of-three"])
+def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, caplog, more_good, more_bad,
+                                             bad_spots):
     """Two workers give the files, manifests, output, error lines (in input order) and exit codes of one."""
     import concurrent.futures
 
     src = tmp_path / "src"
     write_pinned_corpus(src)
+    for i in range(more_good):
+        write_clip(src / f"n{i:02d}.wav", seed=i)
     for name in more_bad:  # interleaved with the good files, so a worker meets one early
         (src / name).write_bytes(b"junk")
     pools = []
@@ -633,7 +641,19 @@ def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, capl
             pools.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
+    chunk_labels = []  # the labels of each chunk, per batch run
+    real_chunk_map = cli._chunk_map
+
+    @contextlib.contextmanager
+    def recording_chunk_map(workers):
+        with real_chunk_map(workers) as run_all:
+            def record(run, chunks):
+                chunk_labels.append([[label for label, *_ in chunk] for chunk in chunks])
+                return run_all(run, chunks)
+            yield record
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli, "_chunk_map", recording_chunk_map)
     outcomes = {}
     with caplog.at_level(logging.ERROR, logger="sfcaudio"):
         for workers in (1, 2):
@@ -642,8 +662,11 @@ def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, capl
     assert pools == [2, 2, 2]  # encode twice and mixup, each in one pool
     assert outcomes[2] == outcomes[1]
     bad = sorted(src / name for name in ("sub/bad.wav", *more_bad))
+    # (place, size) of each bad file's chunk in the 2-worker .sfci encode
+    spots = {(i, len(chunk)) for chunk in chunk_labels[3] for i, label in enumerate(chunk) if label in bad}
+    assert spots == bad_spots
     assert [line.split(": ", 1)[0] for line in outcomes[1]["sfci"][4]] == [str(p) for p in bad]
-    assert outcomes[1]["sfci"][3] == outcomes[1]["pgm"][3] == 1 and outcomes[1]["mix"][3] == 0
+    assert outcomes[1]["sfci"][3] == outcomes[1]["pgm"][3] == 1 and outcomes[1]["mix"][3] == int(more_good > 0)
 
 
 def test_worker_count_follows_the_affinity_mask(monkeypatch):

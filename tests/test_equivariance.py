@@ -156,14 +156,39 @@ def read_offsets(kind, k, l):
     return (reads - (np.arange(reads.shape[1]) << (2 * l))[:, None]) % (1 << (2 * k))
 
 
+def closed_form_period_log2(kind, m):
+    """j at m = k - l: D(u) = D(u + 2^j) for all u, and no smaller power of two is a period."""
+    return {CurveKind.Z: 0, CurveKind.GRAY: 1, CurveKind.SWEEP: m, CurveKind.SCAN: m + 1}.get(kind, 2 * m)
+
+
+def offset_period_log2(offsets):
+    """The least j with offsets[:, u] == offsets[:, u + 2^j mod outputs] for every u."""
+    return next(j for j in itertools.count() if (np.roll(offsets, -(1 << j), axis=1) == offsets).all())
+
+
 def test_z_reads_every_output_at_the_same_offsets():
-    """Equal offsets make every z check equal by construction, for any input; hilbert's differ."""
-    for k in range(2, 9):
+    """z reads every output at the same offsets (j = 0); each curve's offsets repeat every 2^j outputs.
+
+    j at m = k - l is 1 for gray, m for sweep and m + 1 for scan; hilbert, h,
+    optr and diagonal have j = 2m, so only the whole 4^m outputs are a period.
+    """
+    for kind, k in itertools.product(CurveKind, range(2, 9)):
         for l in range(1, k):
-            z = read_offsets(CurveKind.Z, k, l)
-            assert (z == z[:, :1]).all(), (k, l)
-            hilbert = read_offsets(CurveKind.HILBERT, k, l)
-            assert not (hilbert == hilbert[:, :1]).all(), (k, l)
+            got = offset_period_log2(read_offsets(kind, k, l))
+            assert got == closed_form_period_log2(kind, k - l), (kind, k, l)
+
+
+@pytest.mark.parametrize("kind", list(CurveKind), ids=lambda kind: kind.name.lower())
+def test_a_shift_holds_exactly_on_the_multiples_of_the_period(kind):
+    """A real-valued check is exact (0.0) for every d that 2^j divides and misses every other d."""
+    rng = np.random.default_rng(20)
+    for k in range(2, 6):
+        for l in range(1, k):
+            seq, kernel = _draw_inputs(rng, k, l, real_valued=True)
+            reads = equivariance._read_index(kind, k, l)
+            diffs = equivariance._shift_differences(reads, kernel, seq, range(reads.shape[1]))
+            period = 1 << closed_form_period_log2(kind, k - l)
+            assert np.array_equal(diffs == 0.0, np.arange(diffs.size) % period == 0), (k, l)
 
 
 # --- single checks ----------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from sfcaudio import curves, signal
 from sfcaudio.curves import CurveKind, get_curve
+from sfcaudio.equivariance import Kernel
 from sfcaudio.imaging import (
     RAW_HEADER,
     RAW_HEADER_SIZE,
@@ -261,6 +262,19 @@ def test_sfci_path_never_builds_a_curve_table(tmp_path, monkeypatch):
     get_curve.cache_clear()
     monkeypatch.setattr(curves, "build_curve", no_tables)
     assert run("without_tables") == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AudioClip(np.zeros(4)),
+    lambda: SfcImage(CurveKind.Z, 1, 4, np.zeros(4)),
+    lambda: Kernel(order=1, weights=np.zeros((2, 2))),
+    lambda: curves.build_curve(CurveKind.Z, 2),
+], ids=["AudioClip", "SfcImage", "Kernel", "CurveMap"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    """Equal arrays have no single truth value, so these types are equal only to themselves."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 # --- mixup ----------------------------------------------------------------------
