@@ -182,7 +182,7 @@ OPTR_K3_TABLE = [
 
 # --- pinned digests: the curve tables are the .sfci contract ------------------
 #
-# SHA-256 of xs then ys, each as little-endian uint32, for orders 1..11
+# SHA-256 of xs then ys, each as little-endian uint32, for orders 1..13
 # (index 0 is order 1). Any builder change must leave every one unchanged.
 
 TABLE_SHA256 = {
@@ -198,6 +198,8 @@ TABLE_SHA256 = {
         "33041a0a2ded00362ba695a088eb4a79506d23041f1612a1bc0acd1df5cfaf17",
         "973e458063d2daeb4feb46d3412b16cfb3c6cfe6180b4459d7be49bcce6ec33f",
         "2d0d2b4a09f3fcb22c1c677077efae1c62a87b17e679bee8031786017f81ea92",
+        "a3b09853ed0ff96d88633fcd4ca480f5619e406887571134807ade2ddf56dcb1",
+        "dc0ffbb6d7e6fabbb054ab5395737e3b364f46c6c7f9e98f279348364ee09402",
     ),
     CurveKind.Z: (
         "b7af13e1e62ba4d41770eb9a42700a44c15c8b9a8e3421d67fed09b3c3b521c6",
@@ -211,6 +213,8 @@ TABLE_SHA256 = {
         "030f8626463b78ca78b633c10d71ec92676759eebb10848460ebbf628ac465c5",
         "b51ede64dfffd718081094aa8970d6a15a6e7b1514aceb8a50d24914e7e2247e",
         "66b5685ec0c35b9486d50d518172fbbb2d8b45893f1916da19fb7324c0ce41c7",
+        "37a2e81cc0713c9f1c164f0d49f885c741c2a8b1f1d35a1c90b0f7803892f0e9",
+        "47006ff797eaea85fe70dc4da0d7070d2305428a8d3ba4a9c3b6110c1e27eded",
     ),
     CurveKind.GRAY: (
         "9ee64b684b03dcb4cd462cb73f0cf14cf49063b74869f7a82b43c3ce291e43f5",
@@ -224,6 +228,8 @@ TABLE_SHA256 = {
         "cb3c79334dcba2624a774993d4c2f4afdb303d34760b031234ed98e87e262212",
         "f8c8f2a3fde0eb182d0a886126896799ec6b5b689fcc3705e60efe84c232c268",
         "d8d63af103108cb98cf8d81c6ebf3a3811d22f1040f9667d44d2c4c9d743b268",
+        "533a2fb9990986001c78eb2821b7ffbd95b4698f98b17892838f90bb6b434f91",
+        "a9325e7d241c39541a31e5b8232fcf7612b949416cbba03ac95845bd9b901882",
     ),
     CurveKind.H: (
         "c77c6842b53615d05b59a1dc975d458ad197e7f1f58f25d3673ab0e158c5e5ac",
@@ -237,6 +243,8 @@ TABLE_SHA256 = {
         "5266af847475418542c9d82dbe5fb2d34860e493970b4c803e873fb084a4499b",
         "36cca2dd3b0f2eaac69f742a23c35ea7ec3770fb7b31ffeedc1ab2f64ea0e1c4",
         "2db2d8efef2cb4cb6985e5abb686bade2fdcc75b4d41e476d20e2efdb95183ae",
+        "08a6ed01e586bfc748c92120e452b1832560785ed8f77de23b91800229ffb73f",
+        "ce83060b311efc362310789d169f18d8f0ed8d985d837c56c1e2f53a3c7631fe",
     ),
     CurveKind.OPTR: (
         "22c77384ec720e507157465244e99e67217909b360141b38c94a41b67b83a17a",
@@ -250,6 +258,8 @@ TABLE_SHA256 = {
         "3f4fe3b21e69d814a6073e769b68e6fa5568f4a05642a2fa9c036cf8e8eed32e",
         "822cb6d5f9d8b486020ea6e194806c856397b36b7947451a5afc6cd25cb4562c",
         "b04fd314c1c536d2eb48f4c8da4955d0b92e0f2dd4edb80c079aabcbe986fd2e",
+        "5d635d558d4bab53e6c91c5a37adba874e12832454bf58f9d3b15f9767d6c8ed",
+        "907b32aaff38aba0655e19cec45306a37eed105238fa310fd9d661c3b20d8025",
     ),
     CurveKind.SWEEP: (
         "22c77384ec720e507157465244e99e67217909b360141b38c94a41b67b83a17a",
@@ -263,6 +273,8 @@ TABLE_SHA256 = {
         "8955cde481fbfbaafd9c4b0875127fc5ea193173c1d99c75cbbd2c74fb8c9f14",
         "7e64181e3e20d03d22eb2a5a4d3566a7290aea9fb624bf01c45b3fde98dc4cab",
         "78a587e250df2685c48a91e1d2cb0deadf79fd5922fbd7e37c93c4d06c451b4e",
+        "ea24a7c6c8165d418249f62eb2be1ca29e3354146ea59ace3ac7ea15a4a8c232",
+        "a9cbdb46dfe9e9b3391509aa22e7499334aa4c02f08c47449c410bceeb288d38",
     ),
     CurveKind.SCAN: (
         "c77c6842b53615d05b59a1dc975d458ad197e7f1f58f25d3673ab0e158c5e5ac",
@@ -276,6 +288,8 @@ TABLE_SHA256 = {
         "1f82e6f1c1638d10940b55dd793524ef856bad211c78e3c8691530fca5174afb",
         "170212cb81902a3bd2e6b1afde6eb1946fe9ea9c9853005a622b0fd68d21d083",
         "dceea1d4b2ae17ce631867eba0185f558896735ed0b37daea2e3f1af55b6d64a",
+        "ce4c50e81b909c46d495639bba72eeb679a671c1ff76b727f81a7c0147f1be72",
+        "0074eff42eecb0df6de8d28e526a3de7abfac2ca1f36f99653f05d5182ed5d28",
     ),
     CurveKind.DIAGONAL: (
         "22c77384ec720e507157465244e99e67217909b360141b38c94a41b67b83a17a",
@@ -289,19 +303,23 @@ TABLE_SHA256 = {
         "ccbe4b942e618281cdb7fb899e8fb2e49e23d3242da7ec9fbfa7ad3ba31f2ad1",
         "fba9cdbd8e93d775ab486e7c2f5c69d19b315580d06919735104d4133ce4a1b0",
         "153b9d74792c3d9ff6e409e7f72bd4701451f33c9096401bde8a38e37e53aef7",
+        "3d99612c1ff28c76ea4d6adc6c6d7fd78400ab7ca1d60dbe07dbfc24814c6af8",
+        "c15d6056c217bc52f8cca26193461247696c601ccd63b5d45f6363418fe1ab92",
     ),
 }
 
 
-def table_sha256(cm):
+def table_sha256(cm, block=1 << 22):
+    # widened a block at a time: an order-13 table as uint32 would be 268 MB
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(cm.xs, dtype="<u4").tobytes())
-    h.update(np.ascontiguousarray(cm.ys, dtype="<u4").tobytes())
+    for table in (cm.xs, cm.ys):
+        for start in range(0, table.size, block):
+            h.update(table[start:start + block].astype("<u4").tobytes())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("k", range(1, 12))
+@pytest.mark.parametrize("k", range(1, MAX_ORDER + 1))
 def test_table_digest_pinned(kind, k):
     assert table_sha256(build_curve(kind, k)) == TABLE_SHA256[kind][k - 1]
 
