@@ -1,6 +1,7 @@
 """Curve table construction: conventions, bijectivity, continuity."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,36 @@ def test_h_order3_frozen_table():
 
 def test_optr_order3_frozen_table():
     assert points(build_curve(CurveKind.OPTR, 3)) == OPTR_K3_TABLE
+
+
+GRAMMAR_KINDS = [CurveKind.HILBERT, CurveKind.Z, CurveKind.GRAY, CurveKind.OPTR]
+
+
+@pytest.mark.parametrize("kind", GRAMMAR_KINDS)
+def test_grammar_table_is_closed(kind):
+    # every state reachable from the start visits its four quadrants once
+    # each, and every child state has a row of its own
+    qdx, qdy, child, start = curves._GRAMMARS[kind]
+    seen, todo = {start}, [start]
+    while todo:
+        state = todo.pop()
+        assert sorted(zip(qdx[state].tolist(), qdy[state].tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for c in child[state].tolist():
+            assert c < len(child) == len(qdx) == len(qdy)
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+
+
+@pytest.mark.parametrize("kind", GRAMMAR_KINDS)
+def test_grammar_build_holds_little_more_than_its_tables(kind):
+    tracemalloc.start()
+    try:
+        cm = build_curve(kind, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (cm.xs.nbytes + cm.ys.nbytes)
 
 
 def test_gray_is_reflected_binary_reindexing_of_z():
