@@ -22,6 +22,7 @@ from sfcaudio.locality import grid_distance, worst_case_profile
 from sfcaudio.signal import AudioClip, CenterParams, ShiftParams
 
 ALL_KINDS = list(CurveKind)
+GRAMMAR_KINDS = [CurveKind.HILBERT, CurveKind.Z, CurveKind.GRAY, CurveKind.OPTR]
 
 
 # --- independent oracles -----------------------------------------------------
@@ -386,9 +387,6 @@ def test_optr_order3_frozen_table():
     assert points(build_curve(CurveKind.OPTR, 3)) == OPTR_K3_TABLE
 
 
-GRAMMAR_KINDS = [CurveKind.HILBERT, CurveKind.Z, CurveKind.GRAY, CurveKind.OPTR]
-
-
 @pytest.mark.parametrize("kind", GRAMMAR_KINDS)
 def test_grammar_table_is_closed(kind):
     # every state reachable from the start visits its four quadrants once
@@ -614,8 +612,7 @@ def test_h_curve_is_closed_king_tour(k):
 
 # --- recursive structure -----------------------------------------------------------
 
-@pytest.mark.parametrize("kind", [CurveKind.HILBERT, CurveKind.Z, CurveKind.GRAY,
-                                  CurveKind.OPTR])
+@pytest.mark.parametrize("kind", GRAMMAR_KINDS)
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_first_quarter_fills_one_quadrant(kind, k):
     cm = build_curve(kind, k)
