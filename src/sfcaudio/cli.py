@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import itertools
 import logging
 import os
 import sys
@@ -45,7 +44,8 @@ from .signal import CenterParams, ShiftParams, center, load_wav, random_shift, s
 EXIT_INPUT = 1
 EXIT_VERIFY = 3
 
-_CSV_BLOCK = 1 << 16  # rows formatted per write by curve-table
+_CSV_BLOCK = 1 << 12  # rows formatted per write by curve-table
+_DIED_ROW = {"status": "error", "error": "worker process died"}
 
 MANIFEST_FIELDS = [
     "input", "output", "curve", "order", "length",
@@ -107,21 +107,27 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
     count, in about 8 chunks per process; with one process the chunks run
     here, with no pool. The rows come back in input order. Here each error
     row is logged as ``label: message``, then the manifest, the summary
-    line and the exit status (1 if any item failed) are written.
+    line and the exit status (1 if any item failed) are written. The items
+    of a chunk that a dead worker left without rows get error rows.
     """
     with _failing(out):
         out.mkdir(parents=True, exist_ok=True)
     workers = min(_worker_count(), len(items))
     size = -(-len(items) // (8 * workers))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    rows = []
+    rows, lost = [], 0
+    run = functools.partial(_run_items, job, out)
     with _chunk_map(workers) as run_all:
-        chunk_rows = run_all(functools.partial(_run_items, job, out), chunks)
-        for (label, *_), row in zip(items, itertools.chain.from_iterable(chunk_rows), strict=True):
-            if row["status"] == "error":
-                message = row["error"]  # a WavError message already starts with the file's path
-                logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
-            rows.append(row)
+        for chunk, chunk_rows in zip(chunks, run_all(run, chunks), strict=True):
+            if chunk_rows is None:
+                lost += len(chunk)
+                rows += [dict.fromkeys(MANIFEST_FIELDS, "") | _DIED_ROW for _ in chunk]
+                continue
+            for (label, *_), row in zip(chunk, chunk_rows, strict=True):
+                if row["status"] == "error":
+                    message = row["error"]  # a WavError message already starts with the file's path
+                    logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
+                rows.append(row)
     manifest = out / "manifest.csv"
     with _failing(manifest), open(manifest, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS, lineterminator="\n")
@@ -130,14 +136,16 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
     failed = sum(row["status"] != "ok" for row in rows)
     click.echo(f"{verb} {len(rows) - failed}/{len(rows)} {noun} -> {out}")
     if failed:
-        click.echo(f"{failed} {noun} failed; see manifest.csv error rows", err=True)
+        died = f", {lost} because a worker process died" if lost else ""
+        click.echo(f"{failed} {noun} failed{died}; see manifest.csv error rows", err=True)
         sys.exit(EXIT_INPUT)
 
 
 @contextlib.contextmanager
 def _chunk_map(workers: int):
-    """Yield ``map``, or for more than one worker the map of a pool of that many processes.
+    """Yield ``map``, or for more than one worker a map over a pool of that many processes.
 
+    The pool's map gives None for each chunk unfinished when a worker died.
     The pool uses the platform's default start method. Under fork (Linux)
     it starts every worker before its own threads, so a single-threaded
     caller forks safely. It is shut down on exit, dropping the chunks no
@@ -147,10 +155,15 @@ def _chunk_map(workers: int):
         yield map
         return
     from concurrent.futures import ProcessPoolExecutor  # about 15 ms to import, so only for a pool
+    from concurrent.futures.process import BrokenProcessPool
+
+    def run_all(fn, chunks):
+        for future in [pool.submit(fn, chunk) for chunk in chunks]:
+            yield None if isinstance(future.exception(), BrokenProcessPool) else future.result()
 
     pool = ProcessPoolExecutor(workers)
     try:
-        yield pool.map
+        yield run_all
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -154,32 +154,46 @@ def _grammar_points(order: int, qdx, qdy, child, start: int) -> tuple[np.ndarray
     return xs.ravel(), ys.ravel()
 
 
-# The H curve is a closed king-move tour. One level of its first part, the
-# triangle y <= x, is four copies of the level below, each mapped by a square
-# symmetry (m = s - 1) and shifted by s times its quadrant. The third copy
-# skips the images of the previous level's diagonal x == y, which the second
+# The H curve is a closed king-move tour. Its first part, the triangle y <= x,
+# grows in place: at level L (s = 2^L) the m cells in [0, m) are the first of
+# four copies, each mapped by a square symmetry and shifted by s times its
+# quadrant: (x, y), (s + y, s - 1 - x), (2s - 1 - y, x), (x + s, y + s). The
+# third copy skips the images of the s diagonal cells x == y, which the second
 # copy has already visited.
-_H_TRIANGLE_COPIES = (
-    lambda x, y, s, m: (x, y),
-    lambda x, y, s, m: (s + y, m - x),
-    lambda x, y, s, m: ((s + m - y)[x != y], x[x != y]),
-    lambda x, y, s, m: (x + s, y + s),
-)
+_H_BLOCK = 1 << 16  # triangle cells per step of _h_off_diagonal
+
+
+def _h_off_diagonal(xs, ys, stop: int, at: int, top: int, swap: bool) -> None:
+    """Write the cells x != y of ``xs[:stop]``/``ys[:stop]`` from index ``at`` on, blockwise.
+
+    A cell becomes (top - y, x) with ``swap``, else (top - x, top - y).
+    """
+    for start in range(0, stop, _H_BLOCK):
+        end = min(start + _H_BLOCK, stop)
+        off = xs[start:end] != ys[start:end]
+        x, y = xs[start:end][off], ys[start:end][off]
+        if swap:
+            x, y = y, top - x
+        np.subtract(top, x, out=xs[at:at + x.size])
+        np.subtract(top, y, out=ys[at:at + y.size])
+        at += x.size
 
 
 def _h_points(order: int) -> tuple[np.ndarray, np.ndarray]:
     """The triangle y <= x, then the 180-degree rotation of its cells y < x."""
-    xs = np.zeros(1, dtype=np.uint16)
-    ys = np.zeros(1, dtype=np.uint16)
+    n = 1 << order
+    # zeros, for the level-0 triangle: the one cell (0, 0); the rest is written over
+    xs, ys = (np.zeros(n * n, dtype=np.uint16) for _ in range(2))
     for level in range(order):
         s = 1 << level
-        parts = [copy(xs, ys, s, s - 1) for copy in _H_TRIANGLE_COPIES]
-        xs = np.concatenate([px for px, _ in parts])
-        ys = np.concatenate([py for _, py in parts])
-    del parts  # the last level's copies, as large as xs and ys
-    off = xs != ys
-    top = (1 << order) - 1
-    return np.concatenate([xs, top - xs[off]]), np.concatenate([ys, top - ys[off]])
+        m = s * (s + 1) // 2
+        np.add(ys[:m], s, out=xs[m:2 * m])
+        np.subtract(s - 1, xs[:m], out=ys[m:2 * m])
+        _h_off_diagonal(xs, ys, m, 2 * m, 2 * s - 1, swap=True)
+        np.add(xs[:m], s, out=xs[3 * m - s:4 * m - s])
+        np.add(ys[:m], s, out=ys[3 * m - s:4 * m - s])
+    _h_off_diagonal(xs, ys, n * (n + 1) // 2, n * (n + 1) // 2, n - 1, swap=False)
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +216,14 @@ def _diagonal_points(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Anti-diagonal zigzag: diagonal d = x + y, direction alternating."""
     n = 1 << order
     ramp = np.arange(n, dtype=np.uint16)
-    xs = np.empty(n * n, dtype=np.uint16)
-    ys = np.empty(n * n, dtype=np.uint16)
-    start = 0
-    for d in range(2 * n - 1):
-        lo, hi = max(0, d - n + 1), min(d, n - 1)
-        stop = start + hi - lo + 1
-        xs[start:stop] = ramp[lo:hi + 1] if d % 2 == 0 else ramp[lo:hi + 1][::-1]
-        np.subtract(d, xs[start:stop], out=ys[start:stop])
-        start = stop
+    xs, ys = (np.empty(n * n, dtype=np.uint16) for _ in range(2))
+    for d in range(n):
+        up, down, t = ramp[:d + 1], ramp[d::-1], d * (d + 1) // 2
+        xs[t:t + d + 1], ys[t:t + d + 1] = (up, down) if d % 2 == 0 else (down, up)
+    # the diagonals d >= n: those before d = n - 1, turned 180 degrees and read backwards
+    half, rest = n * (n + 1) // 2, n * (n - 1) // 2
+    np.subtract(n - 1, xs[rest - 1::-1], out=xs[half:])
+    np.subtract(n - 1, ys[rest - 1::-1], out=ys[half:])
     return xs, ys
 
 
@@ -340,10 +353,8 @@ def build_curve(kind: CurveKind, order: int) -> CurveMap:
     Deterministic: repeated builds return identical tables. Time and memory
     are O(4^order). At the top order 13 the tables hold 67M cells each
     (0.27 GB of uint16 together). On a 2-core x86-64 host with numpy 2.4, a
-    fresh process building one peaked at 283-286 MiB resident (VmHWM) in
-    0.05-0.18 s for every curve but h, which composes its levels by
-    concatenation and peaked at 508 MiB in 0.33-0.48 s. ``inverse`` is not
-    built here.
+    fresh process building any one of the eight peaked at 283-286 MiB
+    resident (VmHWM) in 0.05-0.18 s. ``inverse`` is not built here.
     """
     kind = _check_kind(kind)
     order = _check_order(order)

@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import logging
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -677,6 +679,44 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
     assert cli._worker_count() == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli._worker_count() == 1
+
+
+TEST_PID = os.getpid()
+
+
+def convert_or_die(out, row, index, path):
+    """The encode job, except that a pool worker given die.wav kills itself."""
+    if path.name == "die.wav" and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return cli._convert(out, CurveKind.Z, 4, None, None, row, index, path)
+
+
+def test_a_dead_worker_ends_the_batch_cleanly(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    src, out = tmp_path / "src", tmp_path / "img"
+    paths = [src / name for name in ("a.wav", "b.wav", "die.wav", "d.wav", "e.wav")]
+    for seed, path in enumerate(paths):
+        write_clip(path, length=100, seed=seed)
+    items = [(path, out / path.with_suffix(".sfci").name, index, path) for index, path in enumerate(paths)]
+    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+    with pytest.raises(SystemExit) as exc:
+        cli._run_batch(out, functools.partial(convert_or_die, out), items, "converted", "file(s)")
+    assert exc.value.code == 1
+    rows = read_manifest(out / "manifest.csv")
+    assert len(rows) == len(items)
+    died = [row["status"] == "error" for row in rows]
+    assert died[2]  # the other workers' items may have finished or not
+    for (path, dest, *_), row, lost in zip(items, rows, died):
+        if lost:
+            assert row == dict.fromkeys(MANIFEST_FIELDS, "") | {"status": "error", "error": "worker process died"}
+        else:
+            assert (row["input"], row["status"]) == (os.path.relpath(path, out), "ok") and dest.exists()
+    captured = capsys.readouterr()
+    assert captured.out == f"converted {5 - sum(died)}/5 file(s) -> {out}\n"
+    assert captured.err == (f"{sum(died)} file(s) failed, {sum(died)} because a worker process died; "
+                            "see manifest.csv error rows\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_one_item_starts_no_pool(tmp_path, runner, monkeypatch):

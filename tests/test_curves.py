@@ -124,11 +124,21 @@ def h_by_bisection(k):
     return cells[:, 0], cells[:, 1]
 
 
+def diagonal_by_sort(k):
+    """Every point sorted by diagonal d = x + y, then along it: x up on even d, down on odd."""
+    n = 1 << k
+    y, x = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    d = x + y
+    order = np.lexsort((np.where(d % 2 == 0, x, -x), d))
+    return x[order], y[order]
+
+
 REFERENCE_BUILDERS = {
     CurveKind.HILBERT: hilbert_by_bit_transform,
     CurveKind.Z: z_by_deinterleave,
     CurveKind.GRAY: gray_by_deinterleave,
     CurveKind.H: h_by_bisection,
+    CurveKind.DIAGONAL: diagonal_by_sort,
 }
 
 
@@ -403,8 +413,8 @@ def test_grammar_table_is_closed(kind):
                 todo.append(c)
 
 
-@pytest.mark.parametrize("kind", GRAMMAR_KINDS)
-def test_grammar_build_holds_little_more_than_its_tables(kind):
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_build_holds_little_more_than_its_tables(kind):
     tracemalloc.start()
     try:
         cm = build_curve(kind, 10)
