@@ -8,9 +8,8 @@ verification failure in ``verify-lemma``.
 
 ``encode`` and ``mixup`` run their items in one process per CPU of the
 affinity mask (``taskset`` limits it) and write the same files, manifest,
-stdout and stderr as a single process does.
-
-Environment override: SFCAUDIO_LOG_LEVEL.
+stdout and stderr as a single process does. Each failed item prints one
+stderr line, ``label: reason``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import logging
 import os
 import sys
 from pathlib import Path
@@ -54,8 +52,6 @@ MANIFEST_FIELDS = [
     "mixup_partner", "mixup_lambda",
     "status", "error",
 ]
-
-logger = logging.getLogger("sfcaudio")
 
 _CURVE_NAMES = [k.name.lower() for k in CurveKind]
 
@@ -101,14 +97,14 @@ def _worker_count() -> int:
 
 
 def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
-    """Run each ``(label, dest, *args)`` item of a batch through ``_run_items``, then write the manifest.
+    """Run each ``(label, fields, dest, *args)`` item of a batch through ``_run_items``, then write the manifest.
 
     The items run in ``_worker_count()`` processes, capped at the item
     count, in about 8 chunks per process; with one process the chunks run
     here, with no pool. The rows come back in input order. Here each error
-    row is logged as ``label: message``, then the manifest, the summary
-    line and the exit status (1 if any item failed) are written. The items
-    of a chunk that a dead worker left without rows get error rows.
+    row prints ``label: message`` on stderr, then the manifest, the summary
+    line and the exit status (1 if any item failed) are written. The items of
+    a chunk that a dead worker left without rows get error rows with their ``fields``.
     """
     with _failing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -121,12 +117,12 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
         for chunk, chunk_rows in zip(chunks, run_all(run, chunks), strict=True):
             if chunk_rows is None:
                 lost += len(chunk)
-                rows += [dict.fromkeys(MANIFEST_FIELDS, "") | _DIED_ROW for _ in chunk]
+                rows += [dict.fromkeys(MANIFEST_FIELDS, "") | fields | _DIED_ROW for _, fields, *_ in chunk]
                 continue
             for (label, *_), row in zip(chunk, chunk_rows, strict=True):
                 if row["status"] == "error":
                     message = row["error"]  # a WavError message already starts with the file's path
-                    logger.error("%s", message if message.startswith(f"{label}: ") else f"{label}: {message}")
+                    click.echo(message if message.startswith(f"{label}: ") else f"{label}: {message}", err=True)
                 rows.append(row)
     manifest = out / "manifest.csv"
     with _failing(manifest), open(manifest, "w", newline="") as fh:
@@ -169,16 +165,17 @@ def _chunk_map(workers: int):
 
 
 def _run_items(job, out: Path, chunk: list) -> list[dict]:
-    """Run a chunk of ``(label, dest, *args)`` batch items in order, in a pool worker or here: their rows.
+    """Run a chunk of ``(label, fields, dest, *args)`` batch items in order, in a pool worker or here: their rows.
 
-    ``job(row, *args)`` fills its fields of a blank row and returns the
-    image, written to ``dest`` as .sfci or, for any other suffix, .pgm. A
-    ValueError (WavError and RawFormatError are ones) or an OSError makes
-    the row an error row and does not stop the chunk.
+    Each row starts blank but for ``fields``, the fields that name the item's
+    inputs; ``job(row, *args)`` fills the rest and returns the image, written
+    to ``dest`` as .sfci or, for any other suffix, .pgm. A ValueError
+    (WavError and RawFormatError are ones) or an OSError makes the row an
+    error row and does not stop the chunk.
     """
     rows = []
-    for _, dest, *args in chunk:
-        row = dict.fromkeys(MANIFEST_FIELDS, "")
+    for _, fields, dest, *args in chunk:
+        row = dict.fromkeys(MANIFEST_FIELDS, "") | fields
         try:
             # The last image is freed only once the next one is built: freeing it
             # first lets glibc trim the heap top and fault it back in for every
@@ -193,10 +190,10 @@ def _run_items(job, out: Path, chunk: list) -> list[dict]:
     return rows
 
 
-def _convert(out: Path, kind: CurveKind, order: int, cparams: CenterParams | None,
+def _convert(kind: CurveKind, order: int, cparams: CenterParams | None,
              shift_args: tuple[int, int] | None, row: dict, index: int, path: Path):
     """Load, center and shift the file at ``path``, fill its row and return its image."""
-    row.update(input=os.path.relpath(path, out), curve=kind.name.lower(), order=order)
+    row.update(curve=kind.name.lower(), order=order)
     clip = load_wav(path)
     row["length"] = clip.length
     if cparams is not None:
@@ -212,9 +209,8 @@ def _convert(out: Path, kind: CurveKind, order: int, cparams: CenterParams | Non
     return encode_clip(clip, kind, order)
 
 
-def _blend(out: Path, params: MixupParams, row: dict, lam: float, path_a: Path, path_b: Path):
+def _blend(params: MixupParams, row: dict, lam: float, path_a: Path, path_b: Path):
     """Blend two .sfci files with weight ``lam``, fill the pair's row and return the blend."""
-    row.update(input=os.path.relpath(path_a, out), mixup_partner=os.path.relpath(path_b, out))
     mixed, lam = mix_images(import_raw(path_a), import_raw(path_b), params, lam=lam)
     row.update(curve=mixed.kind.name.lower(), order=mixed.order, length=mixed.length,
                mixup_lambda=f"{lam:.17g}")
@@ -236,11 +232,6 @@ def _failing(path):
 @click.group()
 def main():
     """Map audio clips to space-filling-curve images and verify curve properties."""
-    level = os.environ.get("SFCAUDIO_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 @main.command("encode")
@@ -277,9 +268,10 @@ def encode_cmd(source: Path, curve, order, cparams, shift_args, fmt, out: Path):
         click.echo(f"no .wav files under {source}", err=True)
         sys.exit(EXIT_INPUT)
 
-    items = [(path, out / Path(os.path.relpath(path, root)).with_suffix("." + fmt), index, path)
+    items = [(path, {"input": os.path.relpath(path, out)},
+              out / Path(os.path.relpath(path, root)).with_suffix("." + fmt), index, path)
              for index, path in enumerate(inputs)]
-    job = functools.partial(_convert, out, kind, order, cparams, shift_args)
+    job = functools.partial(_convert, kind, order, cparams, shift_args)
     _run_batch(out, job, items, "converted", "file(s)")
 
 
@@ -320,16 +312,15 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
     pair_count = len(usable) // 2
     # every weight comes from SEED and is passed to mix_images, so params.rng_seed is not read
     lams = draw_mixup_lambdas(params.alpha, seed, pair_count)
-    if len(usable) % 2:
-        logger.info("odd row count; leaving one file unmixed")
 
     items = []
     for j in range(pair_count):
         path_a = base / usable[perm[2 * j]]["output"]
         path_b = base / usable[perm[2 * j + 1]]["output"]
+        fields = {"input": os.path.relpath(path_a, out), "mixup_partner": os.path.relpath(path_b, out)}
         dest = out / f"mix{j:04d}_{path_a.stem}__{path_b.stem}.sfci"
-        items.append((f"pair {j}", dest, float(lams[j]), path_a, path_b))
-    _run_batch(out, functools.partial(_blend, out, params), items, "mixed", "pair(s)")
+        items.append((f"pair {j}", fields, dest, float(lams[j]), path_a, path_b))
+    _run_batch(out, functools.partial(_blend, params), items, "mixed", "pair(s)")
 
 
 @main.command("curve-table")

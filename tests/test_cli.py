@@ -2,10 +2,8 @@
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
-import logging
 import os
 import signal
 import subprocess
@@ -19,7 +17,7 @@ from click.testing import CliRunner
 from sfcaudio import cli, curves
 from sfcaudio.cli import MANIFEST_FIELDS, _parse_span, main
 from sfcaudio.curves import MAX_ORDER, CurveKind, build_curve, get_curve
-from sfcaudio.imaging import RAW_HEADER, RAW_MAGIC, draw_mixup_lambdas, import_raw
+from sfcaudio.imaging import RAW_HEADER, RAW_MAGIC, MixupParams, draw_mixup_lambdas, encode, export_raw, import_raw
 from sfcaudio.signal import AudioClip, ShiftParams, load_wav, random_shift, save_wav
 
 
@@ -446,24 +444,28 @@ def test_mixup_write_failure_is_error_row(tmp_path, runner, monkeypatch):
     assert not list(out.glob("mix*.sfci"))
 
 
-def test_failing_item_logs_its_label_once(tmp_path, runner, caplog):
+def test_failing_item_logs_its_label_once(tmp_path, runner):
     src = tmp_path / "src"
     write_clip(src / "a.wav", length=100)
     write_clip(src / "b.wav", length=101)
     (src / "bad.wav").write_bytes(b"junk")
     img_dir = tmp_path / "img"
-    with caplog.at_level(logging.ERROR, logger="sfcaudio"):
-        assert runner.invoke(main, ["encode", str(src), "--order", "4", "--out", str(img_dir)]).exit_code == 1
-        (line,) = [r.getMessage() for r in caplog.records]
-        assert line == f"{src / 'bad.wav'}: not a RIFF/WAVE file"
-        assert line.count(str(src / "bad.wav")) == 1
-        row = [r for r in read_manifest(img_dir / "manifest.csv") if r["status"] == "error"][0]
-        assert row["error"] == line  # the manifest text is unchanged
-        caplog.clear()
-        result = runner.invoke(main, ["mixup", str(img_dir / "manifest.csv"), "--out", str(tmp_path / "mix")])
-        assert result.exit_code == 1
-        (line,) = [r.getMessage() for r in caplog.records]
-        assert line.startswith("pair 0: mixup inputs disagree")
+    summary = "1 file(s) failed; see manifest.csv error rows"
+    result = runner.invoke(main, ["encode", str(src), "--order", "4", "--out", str(img_dir)])
+    assert result.exit_code == 1
+    line, last = result.stderr.splitlines()
+    assert (line, last) == (f"{src / 'bad.wav'}: not a RIFF/WAVE file", summary)
+    assert line.count(str(src / "bad.wav")) == 1
+    row = [r for r in read_manifest(img_dir / "manifest.csv") if r["status"] == "error"][0]
+    assert row["error"] == line  # the manifest text is unchanged
+    # a second run in the same process prints its own line
+    result = runner.invoke(main, ["encode", str(src / "bad.wav"), "--out", str(tmp_path / "img2")])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [line, summary]
+    result = runner.invoke(main, ["mixup", str(img_dir / "manifest.csv"), "--out", str(tmp_path / "mix")])
+    assert result.exit_code == 1
+    line, last = result.stderr.splitlines()
+    assert line.startswith("pair 0: mixup inputs disagree") and last.startswith("1 pair(s) failed")
 
 
 # --- unwritable output paths ---------------------------------------------------------
@@ -602,8 +604,8 @@ def test_encode_and_mixup_outputs_are_pinned(tmp_path, runner):
 
 # --- the process pool of encode and mixup ------------------------------------------
 
-def batch_outcomes(runner, caplog, src, base):
-    """Tree digest, stdout, stderr, exit code and error log lines of encode .sfci, encode .pgm and mixup."""
+def batch_outcomes(runner, src, base):
+    """Tree digest, stdout, stderr and exit code of encode .sfci, encode .pgm and mixup."""
     commands = {
         fmt: ["encode", str(src), "--curve", "hilbert", "--order", "5", "--format", fmt,
               "--center", "100", "25", "0.0001", "--shift", "-1", "7"] for fmt in ("sfci", "pgm")
@@ -611,10 +613,9 @@ def batch_outcomes(runner, caplog, src, base):
     commands["mix"] = ["mixup", str(base / "sfci" / "manifest.csv"), "--alpha", "0.4", "--seed", "3"]
     outcomes = {}
     for name, argv in commands.items():
-        caplog.clear()
         result = runner.invoke(main, argv + ["--out", str(base / name)])
         outcomes[name] = (tree_digest(base / name, base), result.stdout.replace(str(base), "<out>"),
-                          result.stderr, result.exit_code, [r.getMessage() for r in caplog.records])
+                          result.stderr, result.exit_code)
     return outcomes
 
 
@@ -625,8 +626,7 @@ def batch_outcomes(runner, caplog, src, base):
     # the 400-sample clips cannot blend with the 600-sample ones, so mixup writes error rows as well
     (40, ("n04b.wav", "n21b.wav"), {(1, 3), (2, 3)}),
 ], ids=["pinned-corpus", "more-bad-files", "chunks-of-three"])
-def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, caplog, more_good, more_bad,
-                                             bad_spots):
+def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, more_good, more_bad, bad_spots):
     """Two workers give the files, manifests, output, error lines (in input order) and exit codes of one."""
     import concurrent.futures
 
@@ -657,17 +657,18 @@ def test_pool_writes_what_one_process_writes(tmp_path, runner, monkeypatch, capl
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(cli, "_chunk_map", recording_chunk_map)
     outcomes = {}
-    with caplog.at_level(logging.ERROR, logger="sfcaudio"):
-        for workers in (1, 2):
-            monkeypatch.setattr(cli, "_worker_count", lambda n=workers: n)
-            outcomes[workers] = batch_outcomes(runner, caplog, src, tmp_path / f"w{workers}")
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_worker_count", lambda n=workers: n)
+        outcomes[workers] = batch_outcomes(runner, src, tmp_path / f"w{workers}")
     assert pools == [2, 2, 2]  # encode twice and mixup, each in one pool
     assert outcomes[2] == outcomes[1]
     bad = sorted(src / name for name in ("sub/bad.wav", *more_bad))
     # (place, size) of each bad file's chunk in the 2-worker .sfci encode
     spots = {(i, len(chunk)) for chunk in chunk_labels[3] for i, label in enumerate(chunk) if label in bad}
     assert spots == bad_spots
-    assert [line.split(": ", 1)[0] for line in outcomes[1]["sfci"][4]] == [str(p) for p in bad]
+    *lines, summary = outcomes[1]["sfci"][2].splitlines()  # the error lines, then the summary
+    assert [line.split(": ", 1)[0] for line in lines] == [str(p) for p in bad]
+    assert summary == f"{len(bad)} file(s) failed; see manifest.csv error rows"
     assert outcomes[1]["sfci"][3] == outcomes[1]["pgm"][3] == 1 and outcomes[1]["mix"][3] == int(more_good > 0)
 
 
@@ -684,37 +685,63 @@ def test_worker_count_follows_the_affinity_mask(monkeypatch):
 TEST_PID = os.getpid()
 
 
-def convert_or_die(out, row, index, path):
-    """The encode job, except that a pool worker given die.wav kills itself."""
-    if path.name == "die.wav" and os.getpid() != TEST_PID:
+def dies_on(path):
+    """Kill the calling process if it is a pool worker and ``path`` is named die.*."""
+    if path.stem == "die" and os.getpid() != TEST_PID:
         os.kill(os.getpid(), signal.SIGKILL)
-    return cli._convert(out, CurveKind.Z, 4, None, None, row, index, path)
 
 
-def test_a_dead_worker_ends_the_batch_cleanly(tmp_path, monkeypatch, capsys):
+def convert_or_die(row, index, path):
+    """The encode job, except that a pool worker given die.wav kills itself."""
+    dies_on(path)
+    return cli._convert(CurveKind.Z, 4, None, None, row, index, path)
+
+
+def blend_or_die(row, lam, path_a, path_b):
+    """The mixup job, except that a pool worker given a pair starting at die.sfci kills itself."""
+    dies_on(path_a)
+    return cli._blend(MixupParams(alpha=0.2), row, lam, path_a, path_b)
+
+
+@pytest.mark.parametrize("command", ["encode", "mixup"])
+def test_a_dead_worker_ends_the_batch_cleanly(tmp_path, monkeypatch, capsys, command):
+    """Every item gets a row; a died row names its input (and, for mixup, its partner)."""
     import multiprocessing
 
-    src, out = tmp_path / "src", tmp_path / "img"
+    src, out = tmp_path / "src", tmp_path / "out"
     paths = [src / name for name in ("a.wav", "b.wav", "die.wav", "d.wav", "e.wav")]
     for seed, path in enumerate(paths):
         write_clip(path, length=100, seed=seed)
-    items = [(path, out / path.with_suffix(".sfci").name, index, path) for index, path in enumerate(paths)]
+    if command == "encode":
+        items = [(path, {"input": os.path.relpath(path, out)}, out / path.with_suffix(".sfci").name, index, path)
+                 for index, path in enumerate(paths)]
+        job, verb, noun = convert_or_die, "converted", "file(s)"
+    else:
+        images = [path.with_suffix(".sfci") for path in paths]
+        for path, image in zip(paths, images):
+            export_raw(encode(load_wav(path), CurveKind.Z, 4), image)
+        pairs = list(zip(images, images[1:] + images[:1]))  # pair 2 starts at die.sfci
+        items = [(f"pair {j}", {"input": os.path.relpath(a, out), "mixup_partner": os.path.relpath(b, out)},
+                  out / f"mix{j}.sfci", 0.5, a, b) for j, (a, b) in enumerate(pairs)]
+        job, verb, noun = blend_or_die, "mixed", "pair(s)"
     monkeypatch.setattr(cli, "_worker_count", lambda: 2)
     with pytest.raises(SystemExit) as exc:
-        cli._run_batch(out, functools.partial(convert_or_die, out), items, "converted", "file(s)")
+        cli._run_batch(out, job, items, verb, noun)
     assert exc.value.code == 1
     rows = read_manifest(out / "manifest.csv")
     assert len(rows) == len(items)
     died = [row["status"] == "error" for row in rows]
     assert died[2]  # the other workers' items may have finished or not
-    for (path, dest, *_), row, lost in zip(items, rows, died):
+    for (_, fields, dest, *_), row, lost in zip(items, rows, died):
+        assert {name: row[name] for name in fields} == fields
         if lost:
-            assert row == dict.fromkeys(MANIFEST_FIELDS, "") | {"status": "error", "error": "worker process died"}
+            assert row == dict.fromkeys(MANIFEST_FIELDS, "") | fields | {"status": "error",
+                                                                        "error": "worker process died"}
         else:
-            assert (row["input"], row["status"]) == (os.path.relpath(path, out), "ok") and dest.exists()
+            assert row["status"] == "ok" and dest.exists()
     captured = capsys.readouterr()
-    assert captured.out == f"converted {5 - sum(died)}/5 file(s) -> {out}\n"
-    assert captured.err == (f"{sum(died)} file(s) failed, {sum(died)} because a worker process died; "
+    assert captured.out == f"{verb} {5 - sum(died)}/5 {noun} -> {out}\n"
+    assert captured.err == (f"{sum(died)} {noun} failed, {sum(died)} because a worker process died; "
                             "see manifest.csv error rows\n")
     assert multiprocessing.active_children() == []
 
@@ -734,11 +761,11 @@ def test_one_item_starts_no_pool(tmp_path, runner, monkeypatch):
     # nor is the pool's module imported by a one-file encode in a fresh process
     code = ("import sys\nfrom sfcaudio.cli import main\n"
             "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert not exc.code, exc.code\n"
-            "print('concurrent.futures' in sys.modules)")
+            "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code, *argv[:-1], str(tmp_path / "img2")],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "False"), done.stderr
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "False False"), done.stderr
 
 
 # --- curve-table -----------------------------------------------------------------
