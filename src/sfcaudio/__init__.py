@@ -7,125 +7,14 @@ structural properties: jump censuses, locality growth profiles, and
 shift equivariance of strided convolution.
 """
 
-from .curves import (
-    MAX_ORDER,
-    CurveKind,
-    CurveMap,
-    build_curve,
-    get_curve,
-    index_to_point,
-    jump_positions,
-    point_to_index,
-)
-from .equivariance import (
-    EquivarianceWitness,
-    Kernel,
-    LemmaCell,
-    LemmaSweep,
-    check_equivariance,
-    circular_shift,
-    fold,
-    replay_witness,
-    strided_conv,
-    sweep_lemma,
-    sweep_to_text,
-    unfold,
-    witnesses_to_csv,
-)
-from .imaging import (
-    MixupParams,
-    RawFormatError,
-    SfcImage,
-    decode,
-    draw_mixup_lambdas,
-    encode,
-    export_pgm,
-    export_raw,
-    import_raw,
-    mixup,
-)
-from .locality import (
-    GapStats,
-    LocalityReport,
-    compare_curves,
-    grid_distance,
-    reports_to_csv,
-    reports_to_text,
-    worst_case_profile,
-)
-from .signal import (
-    DEFAULT_SAMPLE_RATE,
-    AudioClip,
-    CenterParams,
-    ShiftParams,
-    WavChannelError,
-    WavEncodingError,
-    WavError,
-    WavFormatError,
-    WavSampleRateError,
-    WavTruncatedError,
-    center,
-    load_wav,
-    random_shift,
-    save_wav,
-    translate,
-)
+from . import curves, equivariance, imaging, locality, signal
+from .curves import *
+from .equivariance import *
+from .imaging import *
+from .locality import *
+from .signal import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_ORDER",
-    "DEFAULT_SAMPLE_RATE",
-    "CurveKind",
-    "CurveMap",
-    "build_curve",
-    "get_curve",
-    "index_to_point",
-    "point_to_index",
-    "jump_positions",
-    "GapStats",
-    "LocalityReport",
-    "grid_distance",
-    "worst_case_profile",
-    "compare_curves",
-    "reports_to_csv",
-    "reports_to_text",
-    "AudioClip",
-    "CenterParams",
-    "ShiftParams",
-    "WavError",
-    "WavFormatError",
-    "WavTruncatedError",
-    "WavSampleRateError",
-    "WavChannelError",
-    "WavEncodingError",
-    "load_wav",
-    "save_wav",
-    "center",
-    "random_shift",
-    "translate",
-    "SfcImage",
-    "MixupParams",
-    "RawFormatError",
-    "encode",
-    "decode",
-    "mixup",
-    "draw_mixup_lambdas",
-    "export_pgm",
-    "export_raw",
-    "import_raw",
-    "Kernel",
-    "EquivarianceWitness",
-    "LemmaCell",
-    "LemmaSweep",
-    "circular_shift",
-    "fold",
-    "unfold",
-    "strided_conv",
-    "check_equivariance",
-    "replay_witness",
-    "sweep_lemma",
-    "sweep_to_text",
-    "witnesses_to_csv",
-    "__version__",
-]
+__all__ = [*curves.__all__, *locality.__all__, *signal.__all__, *imaging.__all__,
+           *equivariance.__all__, "__version__"]

@@ -22,6 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "MAX_ORDER", "CurveKind", "CurveMap", "build_curve", "get_curve", "index_to_point",
+    "point_to_index", "jump_positions",
+]
+
 MAX_ORDER = 13
 _INVERSE_BLOCK = 1 << 20  # indices per step of the CurveMap.inverse fill
 

@@ -36,6 +36,12 @@ from .curves import CurveKind, _check_kind, get_curve
 from .imaging import SfcImage
 from .signal import _check_finite, _first_non_finite
 
+__all__ = [
+    "Kernel", "EquivarianceWitness", "LemmaCell", "LemmaSweep", "circular_shift",
+    "fold", "unfold", "strided_conv", "check_equivariance", "replay_witness",
+    "sweep_lemma", "sweep_to_text", "witnesses_to_csv",
+]
+
 WITNESS_CSV_HEADER = "kind,k,l,d,seed,max_abs_difference,holds"
 _SWEEP_BLOCK = 1 << 16  # samples read per block of pipeline arms
 

@@ -21,6 +21,11 @@ import numpy as np
 from .curves import MAX_ORDER, CurveKind, _check_kind, _check_order, get_curve
 from .signal import _BLOCK, DEFAULT_SAMPLE_RATE, AudioClip, _check_finite, _first_non_finite
 
+__all__ = [
+    "SfcImage", "MixupParams", "RawFormatError", "encode", "decode", "mixup",
+    "draw_mixup_lambdas", "export_pgm", "export_raw", "import_raw",
+]
+
 RAW_MAGIC = b"SFCI"
 RAW_VERSION = 1
 RAW_HEADER_SIZE = 12

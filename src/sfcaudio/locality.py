@@ -18,6 +18,11 @@ import numpy as np
 
 from .curves import CurveKind, CurveMap, build_curve, jump_positions
 
+__all__ = [
+    "GapStats", "LocalityReport", "grid_distance", "worst_case_profile",
+    "compare_curves", "reports_to_csv", "reports_to_text",
+]
+
 # start indices scanned per block: pair scans are O(4^k) per gap, and the
 # block keeps their int32 temporaries small at the top order
 _CHUNK = 1 << 20

@@ -17,6 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+__all__ = [
+    "DEFAULT_SAMPLE_RATE", "AudioClip", "CenterParams", "ShiftParams", "WavError",
+    "WavFormatError", "WavTruncatedError", "WavSampleRateError", "WavChannelError",
+    "WavEncodingError", "load_wav", "save_wav", "center", "random_shift", "translate",
+]
+
 DEFAULT_SAMPLE_RATE = 16000
 _BLOCK = 1 << 16  # samples per step of save_wav's quantiser, the finite scan and import_raw
 

@@ -4,7 +4,9 @@ import importlib
 import inspect
 
 import sfcaudio
-from sfcaudio import curves, signal
+from sfcaudio import curves, equivariance, imaging, locality, signal
+
+MODULES = (curves, locality, signal, imaging, equivariance)
 
 PUBLIC = [
     "AudioClip", "CenterParams", "CurveKind", "CurveMap", "DEFAULT_SAMPLE_RATE",
@@ -31,3 +33,18 @@ def test_public_names_are_pinned_and_bound_to_their_definitions():
     assert sfcaudio.MAX_ORDER is curves.MAX_ORDER
     assert sfcaudio.DEFAULT_SAMPLE_RATE is signal.DEFAULT_SAMPLE_RATE
     assert isinstance(sfcaudio.__version__, str)
+
+
+def test_each_public_name_is_declared_once_by_the_module_that_defines_it():
+    declared = [name for module in MODULES for name in module.__all__]
+    assert sorted(declared) == sorted(set(sfcaudio.__all__) - {"__version__"})
+    assert len(declared) == len(set(declared))
+    for module in MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
+    # format constants stay with their modules, outside the package namespace
+    for module, name in ((imaging, "RAW_MAGIC"), (imaging, "RAW_HEADER"),
+                         (locality, "CSV_HEADER"), (equivariance, "WITNESS_CSV_HEADER")):
+        assert hasattr(module, name) and not hasattr(sfcaudio, name), name
