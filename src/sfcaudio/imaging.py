@@ -28,8 +28,8 @@ __all__ = [
 
 RAW_MAGIC = b"SFCI"
 RAW_VERSION = 1
-RAW_HEADER_SIZE = 12
 RAW_HEADER = struct.Struct("<4sBBBBI")
+RAW_HEADER_SIZE = RAW_HEADER.size
 
 
 class RawFormatError(ValueError):
@@ -169,12 +169,18 @@ def mixup(a: SfcImage, b: SfcImage, params: MixupParams, lam: float | None = Non
 
 
 def export_pgm(image: SfcImage, path) -> None:
-    """16-bit binary graymap; [-1, 1] maps linearly onto [0, 65535]."""
-    scaled = image.pixels + 1.0  # the one float64 copy; the steps below run in place
+    """16-bit binary graymap; [-1, 1] maps linearly onto [0, 65535].
+
+    The samples are quantised in curve order, then gathered onto the grid as
+    16-bit values, so no float64 grid is built.
+    """
+    scaled = image.samples + 1.0  # the one float64 copy; the steps below run in place
     scaled /= 2.0
     scaled *= 65535.0
     np.rint(scaled, out=scaled)
-    gray = np.clip(scaled, 0, 65535, out=scaled).astype(">u2")
+    quantised = np.clip(scaled, 0, 65535, out=scaled).astype(">u2")
+    del scaled
+    gray = quantised[get_curve(image.kind, image.order).inverse]
     header = f"P5\n{image.n} {image.n}\n65535\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.writelines((header, gray.data))

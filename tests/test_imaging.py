@@ -422,6 +422,22 @@ def test_export_pgm_memory_is_bounded_by_the_grid(tmp_path):
     assert (tmp_path / "m.pgm").read_bytes() == b"P5\n1024 1024\n65535\n" + gray.tobytes()
 
 
+def test_export_pgm_builds_no_float64_grid(tmp_path):
+    image = encode(AudioClip(np.random.default_rng(7).uniform(-1.1, 1.1, 1 << 20)), CurveKind.HILBERT, 10)
+    get_curve(CurveKind.HILBERT, 10).inverse  # built outside the trace; the pixels are not
+    tracemalloc.start()
+    try:
+        export_pgm(image, tmp_path / "m.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the curve-order float64 copy and its uint16 cast; gathering the pixels first took 2.25x
+    assert peak < 1.5 * image.samples.nbytes, f"peak {peak / 2**20:.1f} MiB"
+    assert "pixels" not in image.__dict__
+    gray = np.clip(np.rint((image.pixels + 1.0) / 2.0 * 65535.0), 0, 65535).astype(">u2")
+    assert (tmp_path / "m.pgm").read_bytes() == b"P5\n1024 1024\n65535\n" + gray.tobytes()
+
+
 def test_export_raw_memory_is_bounded_by_the_payload(tmp_path):
     image = encode(AudioClip(np.random.default_rng(4).uniform(-1, 1, 1 << 20)), CurveKind.Z, 10)
     payload = 4 * image.samples.size
