@@ -7,9 +7,10 @@ touched; a check spanning two options is raised by the command body), 3
 verification failure in ``verify-lemma``.
 
 ``encode`` and ``mixup`` run their items in one process per CPU of the
-affinity mask (``taskset`` limits it) and write the same files, manifest,
-stdout and stderr as a single process does. Each failed item prints one
-stderr line, ``label: reason``.
+affinity mask (``taskset`` limits it), or fewer where MemAvailable cannot
+hold one item per process, and write the same files, manifest, stdout and
+stderr as a single process does. Each failed item prints one stderr line,
+``label: reason``.
 """
 
 from __future__ import annotations
@@ -96,11 +97,37 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where the file or the line is missing."""
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _pool_size(cpus: int, items: int, per_item: int, available: int | None) -> int:
+    """The process count of a batch: ``min(cpus, items, available // per_item)``, at least 1.
+
+    ``per_item`` is the bytes one process holds for one item; with no
+    ``available`` reading, memory caps nothing.
+    """
+    workers = min(cpus, items)
+    if available is not None:
+        workers = min(workers, available // per_item)
+    return max(workers, 1)
+
+
+def _run_batch(out: Path, job, items: list, verb: str, noun: str, per_item: int) -> None:
     """Run each ``(label, fields, dest, *args)`` item of a batch through ``_run_items``, then write the manifest.
 
-    The items run in ``_worker_count()`` processes, capped at the item
-    count, in about 8 chunks per process; with one process the chunks run
+    The items run in ``_pool_size`` processes: one per CPU, capped at the
+    item count and at the items of ``per_item`` bytes that MemAvailable
+    holds (a cap below the other two prints one stderr line). They run in
+    about 8 chunks per process; with one process the chunks run
     here, with no pool. The rows come back in input order. Here each error
     row prints ``label: message`` on stderr, then the manifest, the summary
     line and the exit status (1 if any item failed) are written. The items of
@@ -108,7 +135,11 @@ def _run_batch(out: Path, job, items: list, verb: str, noun: str) -> None:
     """
     with _failing(out):
         out.mkdir(parents=True, exist_ok=True)
-    workers = min(_worker_count(), len(items))
+    cpus, available = _worker_count(), _mem_available()
+    workers = _pool_size(cpus, len(items), per_item, available)
+    if workers < min(cpus, len(items)):
+        click.echo(f"memory caps the pool at {workers} of {min(cpus, len(items))} processes: "
+                   f"MemAvailable {available >> 10} KiB, about {per_item >> 10} KiB per item", err=True)
     size = -(-len(items) // (8 * workers))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     rows, lost = [], 0
@@ -272,7 +303,7 @@ def encode_cmd(source: Path, curve, order, cparams, shift_args, fmt, out: Path):
               out / Path(os.path.relpath(path, root)).with_suffix("." + fmt), index, path)
              for index, path in enumerate(inputs)]
     job = functools.partial(_convert, kind, order, cparams, shift_args)
-    _run_batch(out, job, items, "converted", "file(s)")
+    _run_batch(out, job, items, "converted", "file(s)", per_item=16 * 4**order)  # clip and padded image
 
 
 @main.command("decode")
@@ -320,7 +351,10 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
         fields = {"input": os.path.relpath(path_a, out), "mixup_partner": os.path.relpath(path_b, out)}
         dest = out / f"mix{j:04d}_{path_a.stem}__{path_b.stem}.sfci"
         items.append((f"pair {j}", fields, dest, float(lams[j]), path_a, path_b))
-    _run_batch(out, functools.partial(_blend, params), items, "mixed", "pair(s)")
+    # a process holds two images and their blend, of the largest order the rows name (MAX_ORDER if none does)
+    orders = [int(r["order"]) for r in usable if (r.get("order") or "").isdecimal()]
+    order = min(max(orders, default=MAX_ORDER), MAX_ORDER)
+    _run_batch(out, functools.partial(_blend, params), items, "mixed", "pair(s)", per_item=24 * 4**order)
 
 
 @main.command("curve-table")
@@ -328,7 +362,10 @@ def mixup_cmd(manifest: Path, params, seed, out: Path):
 @click.option("--order", type=click.IntRange(1, MAX_ORDER), required=True)
 @click.option("--out", type=click.Path(dir_okay=False, path_type=Path), default=None)
 def curve_table_cmd(curve, order, out):
-    """Dump the index -> (x, y) mapping of one curve as CSV."""
+    """Dump the index -> (x, y) mapping of one curve as CSV.
+
+    Writes a t,x,y header and 4^ORDER rows of t,x,y: about 1.2 GB at order 13.
+    """
     cm = build_curve(CurveKind.from_name(curve), order)
     with _failing(out or "stdout"), (open(out, "wb") if out else
                                     contextlib.nullcontext(click.get_binary_stream("stdout"))) as target:
@@ -338,30 +375,54 @@ def curve_table_cmd(curve, order, out):
             target.write(_csv_rows(start, cm.xs[start:stop], cm.ys[start:stop]))
 
 
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """The 8-byte words ``_csv_rows`` gathers for each 4-digit group v = 0..9999, built on first use.
+
+    A word's bytes are the group's ASCII digits in reading order, with NUL
+    bytes where its leading zeros would be (0 is ``"0"``). ``high`` holds
+    t's upper group in its first half, all NUL for 0. ``low`` holds t's
+    lower group in its second half, unpadded at v and zero-padded at
+    10^4 + v. ``x`` is ``",dddd"`` and ``y`` is ``",dddd\\n"``.
+    """
+    v = np.arange(10**4, dtype=np.uint16)
+    low = np.zeros((2, 10**4, 8), dtype=np.uint8)
+    for byte, place in enumerate((1000, 100, 10, 1), start=4):
+        low[:, :, byte] = v // place % 10 + ord("0")
+    digits = low[0, :, 4:]
+    digits[:, :3][v[:, None] < [1000, 100, 10]] = 0
+    high = np.zeros((10**4, 8), dtype=np.uint8)
+    high[1:, :4] = digits[1:]
+    x = np.zeros((10**4, 8), dtype=np.uint8)
+    x[:, 0], x[:, 1:5] = ord(","), digits
+    y = x.copy()
+    y[:, 5] = ord("\n")
+    return tuple(w.view(np.uint64).reshape(-1) for w in (high, low, x, y))
+
+
 def _csv_rows(start: int, xs: np.ndarray, ys: np.ndarray) -> bytes:
     """The ASCII rows ``f"{t},{x},{y}\\n"`` for t = start, start + 1, ...
 
-    Each field is written right-aligned into a zero-filled column of the
-    width of its block maximum; digits and separators are never zero
-    bytes, so dropping the zeros leaves the rows.
+    Each row is three table words: t split into two 4-digit groups (t <
+    4^MAX_ORDER <= 10^8), then x and y with their separators (both < 2^MAX_ORDER
+    <= 10^4). Digits and separators are never NUL, so deleting the NUL
+    bytes leaves the rows.
     """
+    high, low, x_words, y_words = _digit_words()
     n = len(xs)
-    fields = (np.arange(start, start + n, dtype=np.uint32), xs.astype(np.uint32), ys.astype(np.uint32))
-    widths = [len(str(int(f.max()))) for f in fields]
-    m = np.zeros((sum(widths) + len(fields), n), dtype=np.uint8)
-    col = 0
-    for f, width, sep in zip(fields, widths, b",,\n"):
-        v = f
-        for j in range(width):  # digit j places from the right
-            present = v > 0
-            v, r = np.divmod(v, 10)
-            r += 48
-            m[col + width - 1 - j] = r if j == 0 else r * present
-        col += width
-        m[col] = sep
-        col += 1
-    flat = m.T.ravel()
-    return flat[flat != 0].tobytes()
+    rows = np.empty((n, 3), dtype=np.uint64)
+    t = start
+    while t < start + n:  # each run of t with one upper group reads a slice of the lower groups
+        h, l = divmod(t, 10**4)
+        run = min(start + n - t, 10**4 - l)
+        l += 10**4 * (h > 0)  # the lower group is zero-padded below a non-zero upper one
+        np.bitwise_or(low[l : l + run], high[h], out=rows[t - start : t - start + run, 0])
+        t += run
+    np.take(x_words, xs, out=rows[:, 1])
+    np.take(y_words, ys, out=rows[:, 2])
+    data = rows.tobytes()
+    del rows  # so that a block's heap peaks at its bytes and their copy
+    return data.translate(None, b"\0")
 
 
 @main.command("locality")

@@ -715,7 +715,7 @@ def test_a_dead_worker_ends_the_batch_cleanly(tmp_path, monkeypatch, capsys, com
     if command == "encode":
         items = [(path, {"input": os.path.relpath(path, out)}, out / path.with_suffix(".sfci").name, index, path)
                  for index, path in enumerate(paths)]
-        job, verb, noun = convert_or_die, "converted", "file(s)"
+        job, verb, noun, per_item = convert_or_die, "converted", "file(s)", 16 * 4**4
     else:
         images = [path.with_suffix(".sfci") for path in paths]
         for path, image in zip(paths, images):
@@ -723,10 +723,10 @@ def test_a_dead_worker_ends_the_batch_cleanly(tmp_path, monkeypatch, capsys, com
         pairs = list(zip(images, images[1:] + images[:1]))  # pair 2 starts at die.sfci
         items = [(f"pair {j}", {"input": os.path.relpath(a, out), "mixup_partner": os.path.relpath(b, out)},
                   out / f"mix{j}.sfci", 0.5, a, b) for j, (a, b) in enumerate(pairs)]
-        job, verb, noun = blend_or_die, "mixed", "pair(s)"
+        job, verb, noun, per_item = blend_or_die, "mixed", "pair(s)", 24 * 4**4
     monkeypatch.setattr(cli, "_worker_count", lambda: 2)
     with pytest.raises(SystemExit) as exc:
-        cli._run_batch(out, job, items, verb, noun)
+        cli._run_batch(out, job, items, verb, noun, per_item)
     assert exc.value.code == 1
     rows = read_manifest(out / "manifest.csv")
     assert len(rows) == len(items)
@@ -744,6 +744,57 @@ def test_a_dead_worker_ends_the_batch_cleanly(tmp_path, monkeypatch, capsys, com
     assert captured.err == (f"{sum(died)} {noun} failed, {sum(died)} because a worker process died; "
                             "see manifest.csv error rows\n")
     assert multiprocessing.active_children() == []
+
+
+def test_pool_size_is_capped_by_memory():
+    assert cli._pool_size(2, 40, 1 << 20, None) == 2  # no MemAvailable reading: no cap
+    assert cli._pool_size(2, 40, 1 << 20, 64 << 20) == 2
+    assert cli._pool_size(8, 3, 1 << 20, 64 << 20) == 3
+    assert cli._pool_size(32, 40, 16 * 4**13, 7 << 30) == 7  # order-13 encode on a 7 GiB host
+    assert cli._pool_size(32, 40, 24 * 4**13, 7 << 30) == 4  # order-13 mixup
+    assert cli._pool_size(4, 40, 1 << 20, (1 << 20) - 1) == 1  # never below one process
+    assert cli._pool_size(4, 40, 1 << 20, 0) == 1
+    # 256 KiB per order-7 encode item: 64 processes fit in 16 MiB
+    assert cli._pool_size(64, 2000, 16 * 4**7, 16 << 20) == 64
+
+
+@pytest.mark.parametrize("text, want", [
+    (b"MemTotal:  8000000 kB\nMemFree:  100 kB\nMemAvailable:  7000000 kB\n", 7000000 * 1024),
+    (b"MemTotal:  8000000 kB\nMemFree:  100 kB\n", None),  # a kernel without the line
+    (None, None),  # no /proc/meminfo
+])
+def test_mem_available_reads_proc_meminfo(monkeypatch, text, want):
+    def fake_open(path, mode):
+        assert (path, mode) == ("/proc/meminfo", "rb")
+        if text is None:
+            raise FileNotFoundError(path)
+        return io.BytesIO(text)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    assert cli._mem_available() == want
+
+
+def test_a_memory_cap_of_one_runs_the_batch_here(tmp_path, runner, monkeypatch):
+    """Two CPUs but memory for one order-5 item: no pool, one stderr line, the files of one process."""
+    import concurrent.futures
+
+    src = tmp_path / "src"
+    write_pinned_corpus(src)
+    monkeypatch.setattr(cli, "_worker_count", lambda: 1)
+    one = batch_outcomes(runner, src, tmp_path / "one")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a batch capped at one process started a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+    monkeypatch.setattr(cli, "_mem_available", lambda: 30 << 10)  # one 16 KiB encode item, one 24 KiB mixup item
+    capped = batch_outcomes(runner, src, tmp_path / "capped")
+    for name, per_item in (("sfci", 16), ("pgm", 16), ("mix", 24)):
+        line = f"memory caps the pool at 1 of 2 processes: MemAvailable 30 KiB, about {per_item} KiB per item\n"
+        digest, stdout, stderr, code = capped[name]
+        assert (digest, stdout, stderr.removeprefix(line), code) == one[name], name
+        assert stderr.startswith(line), name
 
 
 def test_one_item_starts_no_pool(tmp_path, runner, monkeypatch):
@@ -838,6 +889,59 @@ def test_curve_table_into_a_closed_pipe_exits_1_silently():
         proc.stdout.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
+
+
+def fstring_block(start, xs, ys):
+    """The f-string rows of t = start, start + 1, ... with the given x and y."""
+    rows = zip(range(start, start + len(xs)), xs.tolist(), ys.tolist())
+    return "".join(f"{t},{x},{y}\n" for t, x, y in rows).encode()
+
+
+def test_csv_rows_cover_every_order_up_to_max_order():
+    # one 4-digit group for x and y, two for t: a larger MAX_ORDER needs wider words
+    assert 4**MAX_ORDER <= 10**8 and 2**MAX_ORDER <= 10**4
+
+
+def test_csv_rows_match_the_fstring_writer_at_every_width():
+    """Values that orders 1..7 never reach: 4-digit x and y, 5- to 8-digit t, the order-13 tail."""
+    side = np.arange(2**MAX_ORDER, dtype=np.uint16)  # x and y of every width from 1 to 4 digits
+    assert cli._csv_rows(0, side, side[::-1]) == fstring_block(0, side, side[::-1])
+    rng = np.random.default_rng(25)
+    starts = [10**p - 2048 for p in range(4, 8)]  # blocks across 10^4 .. 10^7
+    starts += [3 * 10**4 - 7, 10**7 + 10**4 - 100, 4**MAX_ORDER - cli._CSV_BLOCK]
+    for start in starts:
+        for n in (cli._CSV_BLOCK, 777):  # a full block and an odd one
+            n = min(n, 4**MAX_ORDER - start)
+            xs, ys = rng.integers(0, 2**MAX_ORDER, size=(2, n), dtype=np.uint16)
+            assert cli._csv_rows(start, xs, ys) == fstring_block(start, xs, ys), (start, n)
+    xs, ys = rng.integers(0, 2**MAX_ORDER, size=(2, 25_000), dtype=np.uint16)  # four upper groups in one call
+    assert cli._csv_rows(10**4 - 5, xs, ys) == fstring_block(10**4 - 5, xs, ys)
+
+
+def test_curve_table_builds_its_digit_tables_once_and_only_for_itself(tmp_path):
+    """Importing the CLI, --help and encode leave the tables unbuilt; curve-table builds them once."""
+    write_clip(tmp_path / "one.wav", length=100)
+    code = """if True:
+        import sys
+        from sfcaudio import cli
+        def run(*argv):
+            try:
+                cli.main(list(argv))
+            except SystemExit as exc:
+                assert not exc.code, exc.code
+            info = cli._digit_words.cache_info()
+            print("tables", info.misses, info.currsize)
+        run("--help")
+        run("encode", sys.argv[1], "--order", "4", "--out", sys.argv[2])
+        run("curve-table", "--curve", "z", "--order", "7", "--out", sys.argv[3])
+        run("curve-table", "--curve", "h", "--order", "3", "--out", sys.argv[3])
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "one.wav"), str(tmp_path / "img"),
+                           str(tmp_path / "table.csv")], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    tables = [line for line in done.stdout.splitlines() if line.startswith("tables ")]
+    assert tables == ["tables 0 0", "tables 0 0", "tables 1 1", "tables 1 1"]
 
 
 # --- locality --------------------------------------------------------------------
